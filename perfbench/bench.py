@@ -42,7 +42,7 @@ TRAIN_CONFIG = dict(batch_size=32, lr=0.005, loss="MSE", readout="SUM")
 FEATURE_STD = 0.1
 # Set-up repeats until SETUP_SECONDS have gone into it, at least
 # SETUP_MIN times; setup_s is the median.
-SETUP_SECONDS = 1.5
+SETUP_SECONDS = 2.5
 SETUP_MIN = 3
 SUITES = ("lemma1", "prop1", "prop2", "prop3", "prop4", "eq5", "appendixG")
 
@@ -71,12 +71,12 @@ class Workload:
 WORKLOADS = {w.name: w for w in (
     Workload("triangles-small", n_nodes=10, p=0.3, feature_cols=0, target_scale=1.0,
              cells=("ExpC*-1", "ExpC-1", "ExpC-4", "GCN"), n_train=96, n_eval=100,
-             suites_per_round=1, min_rounds=len(SUITES),
+             suites_per_round=3, min_rounds=3,
              check_graphs=16, grad_graphs=32, grad_coords=8),
     Workload("dense-large", n_nodes=80, p=0.5, feature_cols=3,
              target_scale=math.comb(80, 3) * 0.5 ** 3,
              cells=("ExpC-1", "ExpC*-1", "ExpC-4", "CombC", "GCN"), n_train=16, n_eval=16,
-             suites_per_round=2, min_rounds=4,
+             suites_per_round=5, min_rounds=2,
              check_graphs=3, grad_graphs=4, grad_coords=6),
     Workload("verify-all", n_nodes=10, p=0.3, feature_cols=0, target_scale=1.0,
              cells=("ExpC-1",), n_train=96, n_eval=100,
