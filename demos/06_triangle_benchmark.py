@@ -3,7 +3,7 @@ from structure alone (constant node features). Trains an expanding-
 convolution model against a degree-normalized baseline at a matched
 parameter budget, then prints per-node rank reports.
 
-Takes a couple of minutes on a laptop CPU.
+Takes a few seconds on a laptop CPU.
 """
 
 import numpy as np

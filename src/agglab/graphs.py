@@ -3,6 +3,8 @@ brute-force combinatorial oracles used as ground truth.
 
 Graphs are undirected, stored without self-loops; neighborhoods always
 include the node itself. Node indices are dense in [0, num_nodes).
+A GraphBatch is the disjoint union of several graphs; layers and the
+model read both through the same attributes.
 """
 
 import itertools
@@ -10,8 +12,10 @@ import json
 
 import numpy as np
 
+from . import tensor as T
+
 __all__ = [
-    "Graph", "Dataset", "GraphFileError", "neighborhood", "count_triangles",
+    "Graph", "GraphBatch", "Dataset", "GraphFileError", "neighborhood", "count_triangles",
     "relabel", "are_isomorphic", "gen_er_triangle_dataset", "gen_regular_pair",
     "load_graphs", "save_graphs", "split_path",
 ]
@@ -52,6 +56,9 @@ class Graph:
         self.target = target
         self._adj = None
         self._msg = None
+        self._segs = None
+        self._deg = None
+        self._pool = None
 
     @property
     def adjacency(self):
@@ -79,8 +86,31 @@ class Graph:
             self._msg = (np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp))
         return self._msg
 
+    def message_segments(self):
+        """(by_src, by_dst) tensor.Segments over message_index(): by_dst
+        is sorted already, by_src carries one stable sort by source."""
+        if self._segs is None:
+            src, dst = self.message_index()
+            self._segs = (T.Segments.sorted_by(src, self.num_nodes),
+                          T.Segments(dst, self.num_nodes))
+        return self._segs
+
     def degrees(self):
-        return np.array([len(a) for a in self.adjacency])
+        """Neighbour count per node, self excluded (cached; do not mutate)."""
+        if self._deg is None:
+            self._deg = np.array([len(a) for a in self.adjacency], dtype=np.intp)
+        return self._deg
+
+    @property
+    def node_graph(self):
+        """Segments mapping every node to graph 0, for the readout."""
+        if self._pool is None:
+            self._pool = T.Segments(np.zeros(self.num_nodes, dtype=np.intp), 1)
+        return self._pool
+
+    @property
+    def targets(self):
+        return [self.target]
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -91,6 +121,59 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.num_nodes}, m={len(self.edges)}, target={self.target})"
+
+
+class GraphBatch:
+    """Disjoint union of graphs, built by array concatenation.
+
+    Node i of the k-th graph becomes node node_offsets[k] + i. Each
+    graph's cached message index and source sort are offset and
+    concatenated, so the union's index stays sorted by destination and
+    its source sort needs no new argsort. node_graph maps every node to
+    its graph, sorted, for the readout's segment sum; targets lists the
+    graphs' targets in order. Layers read a batch like a Graph; the
+    per-node inspection routes (neighborhood, the staged ExpC route)
+    need a Graph.
+    """
+
+    def __init__(self, graphs):
+        graphs = list(graphs)
+        if not graphs:
+            raise ValueError("a graph batch needs at least one graph")
+        widths = {g.node_features.shape[1] for g in graphs}
+        if len(widths) != 1:
+            raise ValueError(f"graphs in a batch need one feature width, got {sorted(widths)}")
+        sizes = np.array([g.num_nodes for g in graphs], dtype=np.intp)
+        self.node_offsets = np.concatenate(([0], np.cumsum(sizes)))
+        self.num_graphs = len(graphs)
+        self.num_nodes = int(self.node_offsets[-1])
+        self.node_features = np.concatenate([g.node_features for g in graphs])
+        self.targets = [g.target for g in graphs]
+        per_graph = [g.message_segments() for g in graphs]
+        lengths = np.array([len(dst.index) for _, dst in per_graph], dtype=np.intp)
+        msg_offsets = np.concatenate(([0], np.cumsum(lengths)))
+        shift = np.repeat(self.node_offsets[:-1], lengths)
+        src = np.concatenate([s.index for s, _ in per_graph]) + shift
+        dst = np.concatenate([d.index for _, d in per_graph]) + shift
+        order = np.concatenate([s.order + m for (s, _), m in zip(per_graph, msg_offsets)])
+        self._msg = (src, dst)
+        self._segs = (T.Segments(src, self.num_nodes, order=order),
+                      T.Segments(dst, self.num_nodes))
+        self._deg = np.concatenate([g.degrees() for g in graphs])
+        self.node_graph = T.Segments(np.repeat(np.arange(self.num_graphs), sizes),
+                                     self.num_graphs)
+
+    def message_index(self):
+        return self._msg
+
+    def message_segments(self):
+        return self._segs
+
+    def degrees(self):
+        return self._deg
+
+    def __repr__(self):
+        return f"GraphBatch(graphs={self.num_graphs}, n={self.num_nodes})"
 
 
 class Dataset:
@@ -121,13 +204,15 @@ def neighborhood(graph, v):
 
 
 def count_triangles(graph):
-    """Exact triangle count by enumerating node triples. O(n^3), fine at n <= 30."""
-    adj = [set(a) for a in graph.adjacency]
-    count = 0
-    for i, j, k in itertools.combinations(range(graph.num_nodes), 3):
-        if j in adj[i] and k in adj[i] and k in adj[j]:
-            count += 1
-    return count
+    """Exact triangle count, trace(A^3) / 6 in integer arithmetic.
+
+    A is symmetric, so trace(A^3) is the sum of the entries of (A @ A) * A.
+    """
+    A = np.zeros((graph.num_nodes, graph.num_nodes), dtype=np.int64)
+    if graph.edges:
+        u, v = np.array(graph.edges).T
+        A[u, v] = A[v, u] = 1
+    return int(((A @ A) * A).sum()) // 6
 
 
 def relabel(graph, permutation):

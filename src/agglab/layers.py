@@ -2,7 +2,9 @@
 
 Node features are row matrices H (num_nodes x d). Every layer consumes the
 graph's (src, dst) message index — one entry per ordered pair
-(v, u in N(v)), self included — and produces the next H.
+(v, u in N(v)), self included — and produces the next H. The graph may be
+a Graph or a GraphBatch (a disjoint union); the layers gather and scatter
+through the graph's cached Segments, so both run the same code.
 
 Two layer families implement the same mathematics by different routes and
 are used to certify each other:
@@ -34,6 +36,9 @@ __all__ = [
 
 LAYER_KINDS = ("GCN", "GIN0", "GAT_DEFAULT", "GAT_EXPANDING", "EXPC",
                "COMBC", "EXPC_THREE_STAGE", "EXPC_MULTIAGG")
+# Kinds computed in plain numpy, per node of a single Graph: no gradient
+# flows through them, so training rejects them.
+INSPECTION_KINDS = ("EXPC_THREE_STAGE",)
 
 
 @dataclass
@@ -138,18 +143,18 @@ def _mlp(params, x, depth):
 
 def gcn_forward(params, graph, H):
     """Symmetric degree-normalized convolution with self-loops, ReLU output."""
-    src, dst = graph.message_index()
+    src, dst = graph.message_segments()
     dhat = graph.degrees() + 1.0
-    coeff = 1.0 / np.sqrt(dhat[src] * dhat[dst])
+    coeff = 1.0 / np.sqrt(dhat[src.index] * dhat[dst.index])
     msgs = T.row_scale(T.gather_rows(H, src), coeff)
-    agg = T.scatter_add_rows(msgs, dst, graph.num_nodes)
+    agg = T.scatter_add_rows(msgs, dst)
     return T.activation(T.add_bias(T.matmul(agg, params["W"]), params["b"]), "relu")
 
 
 def gin0_forward(params, graph, H):
     """MLP applied to the plain neighbor sum (self included)."""
-    src, dst = graph.message_index()
-    summed = T.scatter_add_rows(T.gather_rows(H, src), dst, graph.num_nodes)
+    src, dst = graph.message_segments()
+    summed = T.scatter_add_rows(T.gather_rows(H, src), dst)
     return _mlp(params, summed, depth=2)
 
 
@@ -160,14 +165,13 @@ def _head_projections(params, H, heads):
 def gat_default_forward(params, graph, H, heads):
     """Per-head attention: softmax over the neighborhood of
     LeakyReLU(a_k . [W_k h_v || W_k h_u]), heads averaged, then ReLU."""
-    src, dst = graph.message_index()
-    n = graph.num_nodes
+    src, dst = graph.message_segments()
     total = None
     for k, HW in enumerate(_head_projections(params, H, heads)):
         pair = T.concat([T.gather_rows(HW, dst), T.gather_rows(HW, src)], axis=1)
         logits = T.activation(T.matmul(pair, params[f"a{k}"]), "leakyrelu", alpha=0.2)
-        alpha = T.segment_softmax(logits, dst, n)
-        head_out = T.scatter_add_rows(T.colvec_mul(T.gather_rows(HW, src), alpha), dst, n)
+        alpha = T.segment_softmax(logits, dst)
+        head_out = T.scatter_add_rows(T.colvec_mul(T.gather_rows(HW, src), alpha), dst)
         total = head_out if total is None else T.add(total, head_out)
     return T.activation(T.scale(total, 1.0 / heads), "relu")
 
@@ -180,8 +184,7 @@ def gat_expanding_forward(params, graph, H, heads):
     over the neighborhood, then one multiplication by the heads' weight
     columns interleaved feature-major.
     """
-    src, dst = graph.message_index()
-    n = graph.num_nodes
+    src, dst = graph.message_segments()
     d = H.data.shape[1] if isinstance(H, T.Tensor) else H.shape[1]
     Hs = T.gather_rows(H, src)
     logit_cols = []
@@ -192,9 +195,9 @@ def gat_expanding_forward(params, graph, H, heads):
                    T.matmul(T.gather_rows(HW, src), a_nbr))
         logit_cols.append(lt)
     logits = T.concat(logit_cols, axis=1)                      # (msgs, K)
-    alpha = T.segment_softmax(T.activation(logits, "leakyrelu", alpha=0.2), dst, n)
+    alpha = T.segment_softmax(T.activation(logits, "leakyrelu", alpha=0.2), dst)
     expanded = T.expand_outer(alpha, Hs)                       # (msgs, d*K), j*K+k layout
-    agg = T.scatter_add_rows(expanded, dst, n)
+    agg = T.scatter_add_rows(expanded, dst)
     # W_cat column j*K+k must be column j of W_k: interleave the stacked
     # transposed head weights from k-major to j-major row order.
     stacked = T.concat([T.transpose(params[f"W{k}"]) for k in range(heads)], axis=0)
@@ -231,35 +234,32 @@ def expc_forward(params, graph, H, spec, bypass=None):
     times one MLP value. bypass substitutes fixed coefficients ("ones" or
     "inv_deg") for the tanh generator — test plumbing only.
     """
-    src, dst = graph.message_index()
-    n = graph.num_nodes
+    src, dst = graph.message_segments()
     Hd, Hs = T.gather_rows(H, dst), T.gather_rows(H, src)
-    counts = np.bincount(dst, minlength=n).astype(np.float64)
-    C = _edge_coefficients(params, Hd, Hs, bypass, 1.0 / counts[dst])
+    inv_count = 1.0 / (graph.degrees() + 1.0)[dst.index]
+    C = _edge_coefficients(params, Hd, Hs, bypass, inv_count)
     if spec.kind == "EXPC_MULTIAGG":
         k = C.data.shape[0]
         extra = [T.Tensor(np.ones((k, 1)))]
         if spec.append == "one_and_invdeg":
-            extra.append(T.Tensor((1.0 / counts[dst])[:, None]))
+            extra.append(T.Tensor(inv_count[:, None]))
         C = T.concat([C] + extra, axis=1)
     expanded = T.expand_outer(C, Hs)
     if spec.re_sum:
-        return T.scatter_add_rows(_mlp(params, expanded, spec.mlp_depth), dst, n)
-    return _mlp(params, T.scatter_add_rows(expanded, dst, n), spec.mlp_depth)
+        return T.scatter_add_rows(_mlp(params, expanded, spec.mlp_depth), dst)
+    return _mlp(params, T.scatter_add_rows(expanded, dst), spec.mlp_depth)
 
 
 def combc_forward(params, graph, H, spec, bypass=None):
     """Elementwise-coefficient convolution: m_uv ⊙ h_u per edge, with the
     same re_sum semantics as expc_forward."""
-    src, dst = graph.message_index()
-    n = graph.num_nodes
+    src, dst = graph.message_segments()
     Hd, Hs = T.gather_rows(H, dst), T.gather_rows(H, src)
-    counts = np.bincount(dst, minlength=n).astype(np.float64)
-    C = _edge_coefficients(params, Hd, Hs, bypass, 1.0 / counts[dst])
+    C = _edge_coefficients(params, Hd, Hs, bypass, 1.0 / (graph.degrees() + 1.0)[dst.index])
     msgs = T.elementwise_mul(C, Hs)
     if spec.re_sum:
-        return T.scatter_add_rows(_mlp(params, msgs, spec.mlp_depth), dst, n)
-    return _mlp(params, T.scatter_add_rows(msgs, dst, n), spec.mlp_depth)
+        return T.scatter_add_rows(_mlp(params, msgs, spec.mlp_depth), dst)
+    return _mlp(params, T.scatter_add_rows(msgs, dst), spec.mlp_depth)
 
 
 def expc_three_stage_forward(params, graph, H, spec):
@@ -341,16 +341,22 @@ def layer_forward(spec, params, graph, H, bypass=None):
     raise ValueError(f"unknown layer kind {spec.kind!r}")
 
 
-def readout(H_list, mode="SUM"):
-    """Concatenate per-layer node features, then pool over nodes."""
+def readout(H_list, mode="SUM", segments=None):
+    """Concatenate per-layer node features, then pool over nodes: over all
+    of them into one row, or, given a node-to-graph Segments, into one row
+    per graph (a graph without nodes pools to zeros)."""
     if not H_list:
         raise ValueError("readout needs at least one layer output")
+    if mode not in ("SUM", "MEAN"):
+        raise ValueError(f"unknown readout mode {mode!r}")
     stacked = H_list[0] if len(H_list) == 1 else T.concat(H_list, axis=1)
+    if segments is None:
+        return T.sum_rows(stacked) if mode == "SUM" else T.mean_rows(stacked)
+    pooled = T.scatter_add_rows(stacked, segments)
     if mode == "SUM":
-        return T.sum_rows(stacked)
-    if mode == "MEAN":
-        return T.mean_rows(stacked)
-    raise ValueError(f"unknown readout mode {mode!r}")
+        return pooled
+    sizes = np.bincount(segments.index, minlength=segments.num_segments)
+    return T.row_scale(pooled, 1.0 / np.maximum(sizes, 1))
 
 
 class Model:
@@ -383,18 +389,26 @@ class Model:
         for t in self.params():
             tape.watch(t)
 
+    def detach(self):
+        """Take the parameters off the tape they were watched by, so later
+        forwards build constants and record nothing."""
+        for t in self.params():
+            t.tape = None
+            t.node_id = None
+
     def zero_grad(self):
         for t in self.params():
             t.zero_grad()
 
     def forward(self, graph):
-        """Graph-level prediction: (1, head_dim) tensor."""
+        """Graph-level predictions, one row per graph: (1, head_dim) for a
+        Graph, (num_graphs, head_dim) for a GraphBatch."""
         H = T.Tensor(graph.node_features)
         outputs = []
         for spec, params in zip(self.specs, self.layer_params):
             H = layer_forward(spec, params, graph, H)
             outputs.append(H)
-        pooled = readout(outputs, self.readout_mode)
+        pooled = readout(outputs, self.readout_mode, graph.node_graph)
         return T.add_bias(T.matmul(pooled, self.head_W), self.head_b)
 
 

@@ -7,12 +7,18 @@ the .grad buffers of the tensors that participated.
 
 Tensors created without a tape are constants: they can appear in any
 expression but never receive gradients.
+
+Row reductions over a segment index (scatter, segment softmax, the
+backward of a gather) go through Segments, which sums each segment with
+one np.add.reduceat over CSR start offsets when the index is sorted, or
+carries a sort, and leaves no segment empty. Any other index falls back
+to np.add.at.
 """
 
 import numpy as np
 
 __all__ = [
-    "Tape", "Tensor", "backward", "add", "sub", "scale", "elementwise_mul", "matmul",
+    "Tape", "Tensor", "Segments", "backward", "add", "sub", "scale", "elementwise_mul", "matmul",
     "activation", "softmax_rows", "vec_stack", "vec_unstack", "outer",
     "concat", "sum_rows", "mean_rows", "add_bias", "sum_all", "abs_", "log",
     "gather_rows", "scatter_add_rows", "segment_softmax", "expand_outer",
@@ -67,7 +73,9 @@ class Tape:
         """Attach an existing tensor (e.g. a persistent parameter) to this tape.
 
         Training loops build a fresh tape per step and watch the model
-        parameters so the op record never grows across steps.
+        parameters so the op record never grows across steps; they detach
+        the parameters after the step's backward, or every later
+        expression that reads them is recorded onto this tape.
         """
         tensor.tape = self
         tensor.node_id = self._register()
@@ -312,51 +320,101 @@ def log(x):
     return _make(np.log(xd), (x,), [(x, lambda g: g / xd)])
 
 
+class Segments:
+    """A segment index over rows, with the plan to reduce rows by segment.
+
+    index[i] is the segment of row i, in [0, num_segments). order, when
+    given, is a stable sorting permutation of index (a gather's index is
+    usually unsorted; sorting it once lets its backward use reduceat).
+    When the index, in that order, is sorted and leaves no segment empty,
+    reductions are one ufunc.reduceat over CSR start offsets; otherwise
+    they fall back to ufunc.at. The plan is computed once, so build one
+    Segments per index and reuse it.
+    """
+
+    __slots__ = ("index", "num_segments", "order", "_starts")
+
+    def __init__(self, index, num_segments, order=None):
+        self.index = np.asarray(index, dtype=np.intp)
+        self.num_segments = int(num_segments)
+        self.order = order
+        self._starts = None
+        ordered = self.index if order is None else self.index[order]
+        k = ordered.size
+        if (k and 0 <= ordered[0] and ordered[-1] < self.num_segments
+                and (ordered[1:] >= ordered[:-1]).all()):
+            counts = np.bincount(ordered, minlength=self.num_segments)
+            if counts.all():
+                self._starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+
+    @classmethod
+    def sorted_by(cls, index, num_segments):
+        """Segments that carry a stable sort of the index."""
+        index = np.asarray(index, dtype=np.intp)
+        return cls(index, num_segments, order=np.argsort(index, kind="stable"))
+
+    def reduce(self, ufunc, rows, identity):
+        """ufunc-reduce the rows of each segment: (k, ...) -> (num_segments, ...)."""
+        if self._starts is None:
+            out = np.full((self.num_segments,) + rows.shape[1:], identity)
+            ufunc.at(out, self.index, rows)
+            return out
+        if self.order is not None:
+            rows = rows[self.order]
+        return ufunc.reduceat(rows, self._starts, axis=0)
+
+    def sum(self, rows):
+        return self.reduce(np.add, rows, 0.0)
+
+
+def _segments(idx, num_segments):
+    if isinstance(idx, Segments):
+        if num_segments is not None and idx.num_segments != num_segments:
+            raise ValueError(f"segments: {idx.num_segments} segments, expected {num_segments}")
+        return idx
+    if num_segments is None:
+        raise ValueError("segments: a plain index needs its number of segments")
+    return Segments(idx, num_segments)
+
+
 def gather_rows(x, idx):
-    """Select rows x[idx]; backward scatter-adds into the source rows."""
+    """Select rows x[idx]; backward sums the gradients of each source row.
+
+    idx is an index array or a Segments over the rows of x.
+    """
     x = _as_tensor(x)
-    idx = np.asarray(idx, dtype=np.intp)
-    m = x.data.shape[0]
-
-    def vjp(g):
-        out = np.zeros_like(x.data)
-        np.add.at(out, idx, g)
-        return out
-
-    return _make(x.data[idx], (x,), [(x, vjp)])
+    segs = _segments(idx, x.data.shape[0])
+    return _make(x.data[segs.index], (x,), [(x, segs.sum)])
 
 
-def scatter_add_rows(x, idx, num_out):
-    """Sum rows of x into num_out output rows grouped by idx."""
+def scatter_add_rows(x, idx, num_out=None):
+    """Sum rows of x into num_out output rows grouped by idx.
+
+    idx is an index array (num_out required) or a Segments.
+    """
     x = _as_tensor(x)
-    idx = np.asarray(idx, dtype=np.intp)
-    y = np.zeros((num_out, x.data.shape[1]))
-    np.add.at(y, idx, x.data)
-    return _make(y, (x,), [(x, lambda g: g[idx])])
+    segs = _segments(idx, num_out)
+    return _make(segs.sum(x.data), (x,), [(x, lambda g: g[segs.index])])
 
 
-def segment_softmax(logits, segments, num_segments):
+def segment_softmax(logits, segments, num_segments=None):
     """Softmax of a (k, c) logit matrix within row groups given by segments.
 
     Each column is normalized independently over the rows of its segment,
-    with per-segment max subtraction for stability.
+    with per-segment max subtraction for stability. segments is an index
+    array (num_segments required) or a Segments.
     """
     logits = _as_tensor(logits)
-    segments = np.asarray(segments, dtype=np.intp)
+    segs = _segments(segments, num_segments)
+    idx = segs.index
     ld = logits.data
     if ld.ndim != 2:
         raise ValueError(f"segment_softmax: need 2-D logits, got shape {ld.shape}")
-    seg_max = np.full((num_segments, ld.shape[1]), -np.inf)
-    np.maximum.at(seg_max, segments, ld)
-    e = np.exp(ld - seg_max[segments])
-    seg_sum = np.zeros((num_segments, ld.shape[1]))
-    np.add.at(seg_sum, segments, e)
-    y = e / seg_sum[segments]
+    e = np.exp(ld - segs.reduce(np.maximum, ld, -np.inf)[idx])
+    y = e / segs.sum(e)[idx]
 
     def vjp(g):
-        dot = np.zeros((num_segments, ld.shape[1]))
-        np.add.at(dot, segments, g * y)
-        return y * (g - dot[segments])
+        return y * (g - segs.sum(g * y)[idx])
 
     return _make(y, (logits,), [(logits, vjp)])
 

@@ -1,5 +1,10 @@
-"""Training harness: Adam, step-decay schedule, per-graph gradient
-accumulation, and the desk-scale ablation suite.
+"""Training harness: Adam, step-decay schedule, batched training over
+disjoint-union graph batches, and the desk-scale ablation suite.
+
+A training batch is split into groups of consecutive graphs that fit
+under MESSAGE_BUDGET messages; each group is one GraphBatch and one tape,
+and the groups' gradients add up to the batch gradient. Validation and
+evaluate run the same groups without a tape.
 
 Runs are deterministic given the config seed: identical configs produce
 bitwise-identical metrics. For that reason the metrics CSV carries a
@@ -16,11 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .layers import LayerSpec, Model, model_param_count
+from .graphs import GraphBatch
+from .layers import INSPECTION_KINDS, LayerSpec, Model, model_param_count
 
 __all__ = [
     "TrainConfig", "Metrics", "TrainingDiverged", "adam_init", "adam_step",
-    "step_lr", "graph_loss", "train", "evaluate", "constant_baseline_mae",
+    "step_lr", "graph_loss", "message_groups", "MESSAGE_BUDGET", "train",
+    "evaluate", "constant_baseline_mae",
     "triangle_model_specs", "pick_matched_width", "ablation_suite",
     "ABLATION_FIELDS", "write_csv", "read_csv", "worker_count",
 ]
@@ -60,9 +67,15 @@ class Metrics:
     seconds: float = 0.0
 
 
+# Messages per group (one tape). A whole batch of 16 80-node graphs, about
+# 53k messages, made a tape so large that its memory was freed and
+# re-faulted on every step, a third slower than one tape per graph.
+MESSAGE_BUDGET = 4096
+
+
 class TrainingDiverged(RuntimeError):
-    def __init__(self, epoch, batch):
-        super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}")
+    def __init__(self, epoch, batch, what="loss"):
+        super().__init__(f"non-finite {what} at epoch {epoch}, batch {batch}")
         self.epoch = epoch
         self.batch = batch
 
@@ -94,47 +107,70 @@ def step_lr(epoch, config):
 
 
 def graph_loss(model, graph, loss_kind):
-    """Scalar loss tensor for one graph (graph carries its own target)."""
+    """Scalar loss tensor for one graph (graph carries its own target), or
+    for a GraphBatch the sum of its graphs' losses."""
     pred = model.forward(graph)
     if loss_kind == "cross_entropy":
         probs = T.softmax_rows(pred)
-        onehot = np.zeros((1, pred.data.shape[1]))
-        onehot[0, int(graph.target)] = 1.0
-        picked = T.sum_all(T.elementwise_mul(probs, T.Tensor(onehot)))
-        return T.scale(T.log(picked), -1.0)
-    target = T.Tensor([[float(graph.target)]])
+        onehot = np.zeros(pred.data.shape)
+        onehot[np.arange(pred.data.shape[0]), [int(t) for t in graph.targets]] = 1.0
+        picked = T.matmul(T.elementwise_mul(probs, T.Tensor(onehot)),
+                          T.Tensor(np.ones((pred.data.shape[1], 1))))
+        return T.scale(T.sum_all(T.log(picked)), -1.0)
+    target = T.Tensor(np.array(graph.targets, dtype=np.float64)[:, None])
     diff = T.sub(pred, target)
     if loss_kind == "MSE":
         return T.sum_all(T.elementwise_mul(diff, diff))
     return T.sum_all(T.abs_(diff))  # MAE
 
 
+def message_groups(graphs):
+    """GraphBatches of consecutive graphs, each holding as many graphs as
+    fit under MESSAGE_BUDGET messages (a larger graph forms a group alone)."""
+    groups, current, size = [], [], 0
+    for g in graphs:
+        k = len(g.message_index()[0])
+        if current and size + k > MESSAGE_BUDGET:
+            groups.append(GraphBatch(current))
+            current, size = [], 0
+        current.append(g)
+        size += k
+    if current:
+        groups.append(GraphBatch(current))
+    return groups
+
+
 def evaluate(model, graphs, loss_kind="MAE"):
     """MAE for regression, accuracy for cross_entropy; never mutates params."""
     if not graphs:
         return float("nan")
-    if loss_kind == "cross_entropy":
-        correct = sum(
-            int(np.argmax(model.forward(g).data)) == int(g.target) for g in graphs)
-        return correct / len(graphs)
     total = 0.0
-    for g in graphs:
-        total += abs(model.forward(g).data.item() - float(g.target))
+    for group in message_groups(graphs):
+        pred = model.forward(group).data
+        if loss_kind == "cross_entropy":
+            total += sum(int(p) == int(t) for p, t in zip(np.argmax(pred, axis=1), group.targets))
+        else:
+            total += float(np.abs(pred[:, 0] - np.array(group.targets, dtype=np.float64)).sum())
     return total / len(graphs)
 
 
 def _mean_loss(model, graphs, loss_kind):
-    return sum(graph_loss(model, g, loss_kind).data.item() for g in graphs) / len(graphs)
+    return sum(graph_loss(model, group, loss_kind).data.item()
+               for group in message_groups(graphs)) / len(graphs)
 
 
 def train(specs, dataset, config, head_dim=1):
     """Train a model over the dataset's train split; deterministic per seed.
 
-    Gradients accumulate per graph up to batch_size, then one Adam step on
-    the batch mean. The returned model carries the best-validation-epoch
-    parameters (final parameters when there is no validation split).
+    Each batch of batch_size graphs runs as message_groups, one tape per
+    group; the summed gradients, divided by the batch size, make one Adam
+    step. The returned model carries the best-validation-epoch parameters
+    (final parameters when there is no validation split).
     """
     t0 = time.perf_counter()
+    for spec in specs:
+        if spec.kind in INSPECTION_KINDS:
+            raise ValueError(f"layer kind {spec.kind} has no autodiff and cannot be trained")
     train_graphs = dataset.subset("train")
     if not train_graphs:
         raise ValueError("empty train split")
@@ -150,31 +186,26 @@ def train(specs, dataset, config, head_dim=1):
     best_valid = float("inf")
     best_snapshot = None
 
+    names = [name for name, _ in model.named_params()]
     for epoch in range(config.epochs):
         lr = step_lr(epoch, config)
         order = rng.permutation(len(train_graphs))
         epoch_loss = 0.0
-        pending = 0
-        batch_index = 0
-        model.zero_grad()
-        for gi in order:
-            tape = T.Tape()
-            model.watch(tape)
-            loss = graph_loss(model, train_graphs[gi], config.loss)
-            value = loss.data.item()
-            if not np.isfinite(value):
-                raise TrainingDiverged(epoch, batch_index)
-            epoch_loss += value
-            tape.backward(loss)
-            pending += 1
-            if pending == config.batch_size:
-                _apply_batch(params, state, lr, pending)
-                model.zero_grad()
-                pending = 0
-                batch_index += 1
-        if pending:
-            _apply_batch(params, state, lr, pending)
+        for batch_index, lo in enumerate(range(0, len(order), config.batch_size)):
+            batch = [train_graphs[i] for i in order[lo:lo + config.batch_size]]
             model.zero_grad()
+            for group in message_groups(batch):
+                value = _accumulate_gradients(model, group, config.loss)
+                if not np.isfinite(value):
+                    raise TrainingDiverged(epoch, batch_index)
+                epoch_loss += value
+            grads = [(p.grad if p.grad is not None else np.zeros_like(p.data)) / len(batch)
+                     for p in params]
+            for name, g in zip(names, grads):
+                if not np.isfinite(g).all():
+                    raise TrainingDiverged(epoch, batch_index, f"gradient of {name}")
+            adam_step(params, grads, state, lr)
+        model.zero_grad()
         metrics.train_loss.append(epoch_loss / len(train_graphs))
         if valid_graphs:
             vloss = _mean_loss(model, valid_graphs, config.loss)
@@ -193,10 +224,19 @@ def train(specs, dataset, config, head_dim=1):
     return model, metrics
 
 
-def _apply_batch(params, state, lr, count):
-    grads = [(p.grad if p.grad is not None else np.zeros_like(p.data)) / count
-             for p in params]
-    adam_step(params, grads, state, lr)
+def _accumulate_gradients(model, group, loss_kind):
+    """Loss of one group on its own tape; adds the group's gradients to the
+    parameters' .grad when the loss is finite, then detaches them. The
+    tape is unreachable once this returns, so no local keeps it alive
+    through the next group's forward."""
+    tape = T.Tape()
+    model.watch(tape)
+    loss = graph_loss(model, group, loss_kind)
+    value = loss.data.item()
+    if np.isfinite(value):
+        tape.backward(loss)
+    model.detach()
+    return value
 
 
 def constant_baseline_mae(dataset):
@@ -285,7 +325,13 @@ def _run_cell(args):
 def worker_count():
     env = os.environ.get("AGGLAB_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            count = int(env)
+        except ValueError:
+            count = 0
+        if count < 1:
+            raise ValueError(f"AGGLAB_THREADS must be an integer >= 1, got {env!r}")
+        return count
     return os.cpu_count() or 1
 
 

@@ -2,8 +2,8 @@
 
 Each test prints one PASS/FAIL line (run with -s or check captured
 output). Criteria 10 and 11 share one session-scoped ablation run on the
-pinned protocol; expect the full module to take on the order of ten
-minutes on a 2-core CPU. Criterion 10 gates the training trend of that
+pinned protocol; expect the full module to take about a minute on a
+2-core CPU. Criterion 10 gates the training trend of that
 run. Criterion 11 gates the property the paper proves for a nonlinearity
 ahead of aggregation: on the pinned cells' specs and seeds, it separates
 neighbourhoods that sum-first aggregation cannot. It reports the run's

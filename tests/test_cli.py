@@ -165,3 +165,13 @@ def test_verify_failure_prints_witness_and_exits_nonzero(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "[FAIL] prop1" in out
     assert '"witness": [[1.0, 2.0]]' in out
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bad_agglab_threads_fails_cleanly(value, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("AGGLAB_THREADS", value)
+    assert run(["ablate", "--seeds", "3", "--budget-width", "3", "--epochs", "1",
+                "--count", "10"]) == 1
+    err = capsys.readouterr().err
+    assert "AGGLAB_THREADS" in err and repr(value) in err
+    assert "Traceback" not in err

@@ -1,8 +1,10 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agglab import graphs as G
 
@@ -170,3 +172,27 @@ def test_message_index_canonical_order():
     src, dst = g.message_index()
     assert dst.tolist() == [0, 0, 1, 1, 1, 2, 2]
     assert src.tolist() == [0, 1, 0, 1, 2, 1, 2]
+
+
+def brute_force_triangles(graph):
+    """The oracle count_triangles replaced: enumerate every node triple."""
+    adj = [set(a) for a in graph.adjacency]
+    return sum(1 for i, j, k in itertools.combinations(range(graph.num_nodes), 3)
+               if j in adj[i] and k in adj[i] and k in adj[j])
+
+
+@given(st.integers(0, 12), st.floats(0.0, 1.0), st.integers(0, 2**31 - 1))
+@settings(max_examples=200, deadline=None)
+def test_count_triangles_matches_triple_enumeration(n, p, seed):
+    rng = np.random.default_rng(seed)
+    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+    g = G.Graph(n, edges, np.ones((n, 1)))
+    assert G.count_triangles(g) == brute_force_triangles(g)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 12])
+def test_count_triangles_empty_and_complete(n):
+    empty = G.Graph(n, [], np.ones((n, 1)))
+    complete = G.Graph(n, list(itertools.combinations(range(n), 2)), np.ones((n, 1)))
+    assert G.count_triangles(empty) == 0
+    assert G.count_triangles(complete) == brute_force_triangles(complete) == math.comb(n, 3)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agglab import tensor as T
 
@@ -348,3 +349,96 @@ def test_gradients_match_finite_differences_100_trials():
 
         worst = max(worst, T.finite_diff_check(f, x))
     assert worst < 1e-6, worst
+
+
+# ---- segment reductions against the np.add.at route they replace -----------
+
+def _add_at(index, rows, num_segments):
+    out = np.zeros((num_segments,) + rows.shape[1:])
+    np.add.at(out, index, rows)
+    return out
+
+
+def _assert_close(got, want):
+    scale = max(float(np.max(np.abs(want), initial=0.0)), 1e-300)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
+
+
+@st.composite
+def segment_cases(draw):
+    """(index, num_segments, rows): sorted or not, empty segments or not."""
+    num_segments = draw(st.integers(1, 6))
+    k = draw(st.integers(0, 14))
+    index = np.array(draw(st.lists(st.integers(0, num_segments - 1), min_size=k, max_size=k)),
+                     dtype=np.intp)
+    if draw(st.booleans()):
+        index = np.sort(index)
+    if draw(st.booleans()):  # every segment non-empty, in segment order
+        index = np.sort(np.concatenate([np.arange(num_segments), index]))
+    cols = draw(st.integers(1, 3))
+    rows = np.random.default_rng(draw(st.integers(0, 2**31 - 1))).standard_normal(
+        (index.size, cols))
+    return index, num_segments, rows
+
+
+@given(segment_cases())
+@settings(max_examples=300, deadline=None)
+def test_segment_sums_match_add_at(case):
+    index, n, rows = case
+    want = _add_at(index, rows, n)
+    _assert_close(T.Segments(index, n).sum(rows), want)
+    _assert_close(T.Segments.sorted_by(index, n).sum(rows), want)
+    seg_max = np.full((n, rows.shape[1]), -np.inf)
+    np.maximum.at(seg_max, index, rows)
+    assert np.array_equal(T.Segments.sorted_by(index, n).reduce(np.maximum, rows, -np.inf),
+                          seg_max)
+
+
+def _value_and_vjp(op, x, g):
+    """op(x) and the gradient of sum(op(x) * g) with respect to x."""
+    tape = T.Tape()
+    xt = tape.param(x.copy())
+    out = op(xt)
+    tape.backward(T.sum_all(T.elementwise_mul(out, T.Tensor(g))))
+    return out.data, xt.grad
+
+
+@given(segment_cases())
+@settings(max_examples=200, deadline=None)
+def test_segment_ops_and_their_vjps_match_add_at(case):
+    index, n, rows = case
+    g_out = np.random.default_rng(index.size).standard_normal((n, rows.shape[1]))
+    g_rows = np.random.default_rng(n).standard_normal(rows.shape)
+    seg_max = np.full((n, rows.shape[1]), -np.inf)
+    np.maximum.at(seg_max, index, rows)
+    e = np.exp(rows - seg_max[index])
+    softmax = e / _add_at(index, e, n)[index]
+    for segs in (index, T.Segments(index, n), T.Segments.sorted_by(index, n)):
+        out, grad = _value_and_vjp(lambda x: T.scatter_add_rows(x, segs, n), rows, g_out)
+        _assert_close(out, _add_at(index, rows, n))
+        assert np.array_equal(grad, g_out[index])
+
+        out, grad = _value_and_vjp(lambda x: T.gather_rows(x, segs), g_out, g_rows)
+        assert np.array_equal(out, g_out[index])
+        _assert_close(grad, _add_at(index, g_rows, n))
+
+        out, grad = _value_and_vjp(lambda x: T.segment_softmax(x, segs, n), rows, g_rows)
+        _assert_close(out, softmax)
+        _assert_close(grad, softmax * (g_rows - _add_at(index, g_rows * softmax, n)[index]))
+
+
+def test_sorted_full_segments_take_reduceat_and_the_rest_fall_back():
+    assert T.Segments(np.array([0, 0, 1, 2]), 3)._starts is not None
+    assert T.Segments.sorted_by(np.array([2, 0, 1, 0]), 3)._starts is not None
+    assert T.Segments(np.array([2, 0, 1, 0]), 3)._starts is None      # unsorted
+    assert T.Segments(np.array([0, 0, 2]), 3)._starts is None         # segment 1 empty
+    assert T.Segments(np.array([0, 1]), 3)._starts is None            # trailing empty
+    assert T.Segments(np.array([], dtype=np.intp), 2)._starts is None  # no rows
+
+
+def test_segments_reject_a_mismatched_count():
+    with pytest.raises(ValueError, match="segments"):
+        T.scatter_add_rows(T.Tensor(np.ones((2, 1))), T.Segments([0, 1], 2), 3)
+    with pytest.raises(ValueError, match="number of segments"):
+        T.scatter_add_rows(T.Tensor(np.ones((2, 1))), np.array([0, 1]))

@@ -199,3 +199,49 @@ def test_metrics_rows_schema():
     assert len(rows) == 2
     assert list(rows[0].keys()) == list(TR.METRICS_FIELDS)
     assert rows[0]["seconds"] == 0.0
+
+
+def test_evaluate_after_train_records_nothing(monkeypatch):
+    ds = tiny_dataset(40, seed=5)
+    model, _ = TR.train(TR.triangle_model_specs("EXPC", 4, s=2), ds,
+                        TR.TrainConfig(epochs=2, lr=0.01, seed=3))
+    recorded = []
+    monkeypatch.setattr(T.Tape, "record", lambda self, out, pairs: recorded.append(out))
+    maes = [TR.evaluate(model, ds.graphs) for _ in range(3)]
+    assert recorded == []
+    assert maes[0] == maes[1] == maes[2]
+    assert all(p.tape is None and p.node_id is None for p in model.params())
+
+
+def test_train_rejects_kinds_without_autodiff(monkeypatch):
+    steps = []
+    monkeypatch.setattr(TR, "adam_step", lambda *a, **k: steps.append(a))
+    specs = [L.LayerSpec("EXPC", 1, 4, s=2), L.LayerSpec("EXPC_THREE_STAGE", 4, 4, s=2)]
+    with pytest.raises(ValueError, match="EXPC_THREE_STAGE"):
+        TR.train(specs, tiny_dataset(), TR.TrainConfig(epochs=1))
+    assert steps == []
+
+
+def test_train_diverged_on_a_non_finite_gradient(monkeypatch):
+    """A layer whose output is finite but whose backward returns NaN: the
+    loss stays finite, and the gradient check stops the run before Adam."""
+    original = L.layer_forward
+    calls = []
+
+    def poisoned(spec, params, graph, H, bypass=None):
+        out = original(spec, params, graph, H, bypass=bypass)
+        calls.append(1)
+        if len(calls) <= 4:  # the first batch: two groups of one graph, two layers each
+            return out
+        return T._make(out.data, (out,), [(out, lambda g: g * np.nan)])
+
+    monkeypatch.setattr(L, "layer_forward", poisoned)
+    monkeypatch.setattr(TR, "MESSAGE_BUDGET", 1)
+    steps = []
+    real_adam = TR.adam_step
+    monkeypatch.setattr(TR, "adam_step", lambda *a, **k: (steps.append(1), real_adam(*a, **k)))
+    cfg = TR.TrainConfig(epochs=1, batch_size=2, lr=0.01, loss="MSE", seed=0)
+    with pytest.raises(TR.TrainingDiverged, match="gradient") as exc:
+        TR.train(TR.triangle_model_specs("GIN0", 4), tiny_dataset(), cfg)
+    assert (exc.value.epoch, exc.value.batch) == (0, 1)
+    assert steps == [1]
