@@ -156,15 +156,11 @@ class GraphBatch:
         src = np.concatenate([s.index for s, _ in per_graph]) + shift
         dst = np.concatenate([d.index for _, d in per_graph]) + shift
         order = np.concatenate([s.order + m for (s, _), m in zip(per_graph, msg_offsets)])
-        self._msg = (src, dst)
         self._segs = (T.Segments(src, self.num_nodes, order=order),
                       T.Segments(dst, self.num_nodes))
         self._deg = np.concatenate([g.degrees() for g in graphs])
         self.node_graph = T.Segments(np.repeat(np.arange(self.num_graphs), sizes),
                                      self.num_graphs)
-
-    def message_index(self):
-        return self._msg
 
     def message_segments(self):
         return self._segs

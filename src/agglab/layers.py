@@ -342,16 +342,16 @@ def layer_forward(spec, params, graph, H, bypass=None):
 
 
 def readout(H_list, mode="SUM", segments=None):
-    """Concatenate per-layer node features, then pool over nodes: over all
-    of them into one row, or, given a node-to-graph Segments, into one row
-    per graph (a graph without nodes pools to zeros)."""
+    """Concatenate per-layer node features, then pool over nodes: into one
+    row per graph of a node-to-graph Segments, or, with none given, over
+    all of them into one row. A graph without nodes pools to zeros."""
     if not H_list:
         raise ValueError("readout needs at least one layer output")
     if mode not in ("SUM", "MEAN"):
         raise ValueError(f"unknown readout mode {mode!r}")
     stacked = H_list[0] if len(H_list) == 1 else T.concat(H_list, axis=1)
     if segments is None:
-        return T.sum_rows(stacked) if mode == "SUM" else T.mean_rows(stacked)
+        segments = T.Segments(np.zeros(stacked.data.shape[0], dtype=np.intp), 1)
     pooled = T.scatter_add_rows(stacked, segments)
     if mode == "SUM":
         return pooled

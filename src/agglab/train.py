@@ -144,6 +144,8 @@ def evaluate(model, graphs, loss_kind="MAE"):
     """MAE for regression, accuracy for cross_entropy; never mutates params."""
     if not graphs:
         return float("nan")
+    if loss_kind != "cross_entropy" and model.head_dim != 1:
+        raise ValueError(f"regression needs head_dim 1, got {model.head_dim}")
     total = 0.0
     for group in message_groups(graphs):
         pred = model.forward(group).data

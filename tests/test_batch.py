@@ -109,14 +109,13 @@ def test_graph_batch_offsets_and_concatenates():
     assert np.array_equal(batch.node_features, np.vstack([g.node_features for g in graphs]))
     assert np.array_equal(batch.degrees(), np.concatenate([g.degrees() for g in graphs]))
     assert np.array_equal(batch.node_graph.index, [0] * 4 + [1] + [2] * 6)
-    src, dst = batch.message_index()
+    by_src, by_dst = batch.message_segments()
+    src, dst = by_src.index, by_dst.index
     want_src = np.concatenate([g.message_index()[0] + off
                                for g, off in zip(graphs, batch.node_offsets)])
     want_dst = np.concatenate([g.message_index()[1] + off
                                for g, off in zip(graphs, batch.node_offsets)])
     assert np.array_equal(src, want_src) and np.array_equal(dst, want_dst)
-    by_src, by_dst = batch.message_segments()
-    assert np.array_equal(by_dst.index, dst)
     assert np.array_equal(by_src.order, np.argsort(src, kind="stable"))
 
 

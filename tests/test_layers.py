@@ -334,6 +334,8 @@ def test_readout_modes_and_widths():
     assert np.array_equal(single.data, [[2.0, 5.0]])
     mean = L.readout([h2], "MEAN")
     assert np.allclose(mean.data, np.ones((1, 6)))
+    empty = L.readout([T.Tensor(np.zeros((0, 3)))], "MEAN")
+    assert np.array_equal(empty.data, np.zeros((1, 3)))
     with pytest.raises(ValueError, match="readout"):
         L.readout([], "SUM")
 

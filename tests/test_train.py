@@ -116,6 +116,12 @@ def test_evaluate_constant_predictor_on_constant_targets():
     assert TR.evaluate(model, ds.graphs) == TR.evaluate(model, ds.graphs)
 
 
+def test_evaluate_rejects_regression_with_a_wide_head():
+    model = L.Model(TR.triangle_model_specs("GCN", 3), seed=0, head_dim=2)
+    with pytest.raises(ValueError, match="head_dim 1"):
+        TR.evaluate(model, tiny_dataset().graphs, "MAE")
+
+
 def test_best_validation_checkpoint_returned():
     ds = tiny_dataset(60, seed=3)
     specs = TR.triangle_model_specs("EXPC", 4, s=1)
