@@ -17,12 +17,12 @@ import numpy as np
 
 __all__ = [
     "MultisetSample", "BasicAggregator", "MatrixAggregator", "FunctionAggregator",
-    "combined", "compose", "premap", "numerical_rank", "apply_agg",
+    "combined", "compose", "premap", "numerical_rank", "output_distance",
     "strictly_stronger_by_stack", "is_injective_for_size",
     "ranges_disjoint_certificate", "enumerate_multisets", "collision_oracle",
     "compare_strength", "check_equivariance", "rank_preservation_report",
-    "multiset_distance_under", "multiset_distance_under2", "kernel_collision",
-    "cross_kernel_collision", "separation_set",
+    "multiset_distance_under", "kernel_collision", "cross_kernel_collision",
+    "separation_set",
 ]
 
 COLLISION_TOL = 1e-9
@@ -184,36 +184,29 @@ class MatrixAggregator(Aggregator):
         return (self.M @ e).reshape(-1, order="F")
 
 
-def numerical_rank(M, tol=None):
-    """Singular values above tol; default tol = 1e-9 * max(s, n) * sigma_max."""
-    M = np.asarray(M, dtype=np.float64)
-    if M.size == 0:
-        return 0
-    sv = np.linalg.svd(M, compute_uv=False)
+def _svd_rank(sv, shape, tol=None):
+    """numerical_rank's rule, on the singular values of a matrix of this shape."""
     if tol is None:
-        tol = 1e-9 * max(M.shape) * (sv[0] if sv.size else 0.0)
+        tol = 1e-9 * max(shape) * (sv[0] if sv.size else 0.0)
     if tol <= 0.0:
         tol = 0.0
     return int(np.sum(sv > tol))
 
 
-def apply_agg(M, x, perm):
-    """vec(M_pi X_pi) for a multiset presented in order perm.
-
-    The permutation matrix restores canonical element order before the
-    product, which is why the result is bitwise independent of perm: the
-    columns of M permute together with the elements, so M_pi X_pi reduces
-    to M times the canonically ordered element matrix.
-    """
+def numerical_rank(M, tol=None):
+    """Singular values above tol; default tol = 1e-9 * max(s, n) * sigma_max."""
     M = np.asarray(M, dtype=np.float64)
-    if not isinstance(x, MultisetSample):
-        x = MultisetSample(x)
-    perm = list(perm)
-    if sorted(perm) != list(range(x.size)):
-        raise ValueError(f"perm must be a permutation of range({x.size})")
-    if M.shape[1] != x.size:
-        raise ValueError(f"coefficient columns {M.shape[1]} != multiset size {x.size}")
-    return (M @ x.elements).reshape(-1, order="F")
+    if M.size == 0:
+        return 0
+    return _svd_rank(np.linalg.svd(M, compute_uv=False), M.shape, tol)
+
+
+def output_distance(o1, o2):
+    """Euclidean distance between two aggregator outputs, inf when their
+    shapes differ. Two outputs separate iff it is >= the tolerance."""
+    if o1.shape != o2.shape:
+        return float("inf")
+    return float(np.linalg.norm(o1 - o2))
 
 
 def strictly_stronger_by_stack(M, M_extra):
@@ -295,8 +288,7 @@ def collision_oracle(agg1, agg2, grid, max_size=3, width=1, tol=COLLISION_TOL):
             for x2 in ms2[start:]:
                 if k1 == k2 and x1 == x2:
                     continue
-                out2 = agg2(x2)
-                if out1.shape == out2.shape and np.linalg.norm(out1 - out2) < tol:
+                if output_distance(out1, agg2(x2)) < tol:
                     return x1, x2
     return None
 
@@ -304,12 +296,8 @@ def collision_oracle(agg1, agg2, grid, max_size=3, width=1, tol=COLLISION_TOL):
 def separation_set(agg, multisets, tol=COLLISION_TOL):
     """Index pairs (i, j) the aggregator separates, over a fixed candidate list."""
     outs = [agg(m) for m in multisets]
-    separated = set()
-    for i in range(len(outs)):
-        for j in range(i + 1, len(outs)):
-            if outs[i].shape != outs[j].shape or np.linalg.norm(outs[i] - outs[j]) >= tol:
-                separated.add((i, j))
-    return separated
+    return {(i, j) for i in range(len(outs)) for j in range(i + 1, len(outs))
+            if output_distance(outs[i], outs[j]) >= tol}
 
 
 def compare_strength(agg1, agg2, grid, max_size=3, width=1, tol=COLLISION_TOL):
@@ -326,22 +314,17 @@ def compare_strength(agg1, agg2, grid, max_size=3, width=1, tol=COLLISION_TOL):
     if not sizes:
         return {"verdict": "incomparable", "only_first": None, "only_second": None}
     multisets = [m for k in sizes for m in enumerate_multisets(grid, k, width)]
-    outs1 = [agg1(m) for m in multisets]
-    outs2 = [agg2(m) for m in multisets]
+    sep1 = separation_set(agg1, multisets, tol)
+    sep2 = separation_set(agg2, multisets, tol)
 
-    def sep(outs, i, j):
-        return outs[i].shape != outs[j].shape or np.linalg.norm(outs[i] - outs[j]) >= tol
+    def first(pairs):
+        # the least index pair is the first one a row-major scan meets
+        if not pairs:
+            return None
+        i, j = min(pairs)
+        return multisets[i], multisets[j]
 
-    only_first = only_second = None
-    for i in range(len(multisets)):
-        for j in range(i + 1, len(multisets)):
-            s1, s2 = sep(outs1, i, j), sep(outs2, i, j)
-            if s1 and not s2 and only_first is None:
-                only_first = (multisets[i], multisets[j])
-            elif s2 and not s1 and only_second is None:
-                only_second = (multisets[i], multisets[j])
-        if only_first and only_second:
-            break
+    only_first, only_second = first(sep1 - sep2), first(sep2 - sep1)
     if only_first and only_second:
         verdict = "incomparable"
     elif only_first:
@@ -362,7 +345,7 @@ def check_equivariance(agg, T, x, tol=COLLISION_TOL):
         raise ValueError(f"T has {T.shape[1]} columns but elements have width {x.width}")
     lhs = agg(x.elements @ T.T)
     rhs = T @ agg(x)
-    return lhs.shape == rhs.shape and np.linalg.norm(lhs - rhs) < tol
+    return output_distance(lhs, rhs) < tol
 
 
 def rank_preservation_report(M, H):
@@ -375,18 +358,13 @@ def rank_preservation_report(M, H):
 
 
 def multiset_distance_under(agg, x1, x2):
-    o1, o2 = agg(x1), agg(x2)
-    if o1.shape != o2.shape:
-        return float("inf")
-    return float(np.linalg.norm(o1 - o2))
+    return output_distance(agg(x1), agg(x2))
 
 
-def _null_space(M, rtol=1e-9):
+def _null_space(M):
     M = np.asarray(M, dtype=np.float64)
-    u, sv, vh = np.linalg.svd(M)
-    tol = rtol * max(M.shape) * (sv[0] if sv.size else 0.0)
-    rank = int(np.sum(sv > tol))
-    return vh[rank:].T  # columns span the kernel
+    _, sv, vh = np.linalg.svd(M)
+    return vh[_svd_rank(sv, M.shape):].T  # columns span the kernel
 
 
 def kernel_collision(M):
@@ -440,14 +418,6 @@ def cross_kernel_collision(M1, M2, tol=COLLISION_TOL):
             continue
         x1 = MultisetSample(z[:n1])
         x2 = MultisetSample(z[n1:])
-        if (x1.size != x2.size or x1 != x2) and multiset_distance_under2(f1, f2, x1, x2) < tol:
+        if (x1.size != x2.size or x1 != x2) and output_distance(f1(x1), f2(x2)) < tol:
             return x1, x2
     return None
-
-
-def multiset_distance_under2(agg1, agg2, x1, x2):
-    """Distance between images under two (possibly different) aggregators."""
-    o1, o2 = agg1(x1), agg2(x2)
-    if o1.shape != o2.shape:
-        return float("inf")
-    return float(np.linalg.norm(o1 - o2))

@@ -19,6 +19,12 @@ from . import verify as V
 from . import tensor as T
 
 TRAIN_KINDS = {"gcn": "GCN", "gin0": "GIN0", "expc": "EXPC", "combc": "COMBC"}
+# Coefficient-generating kinds whose aggregation is not the tanh
+# generator's s x |N(v)| matrix that analyze-rank reports.
+RANK_SKIPPED = {
+    "COMBC": "its coefficients scale the features elementwise, not through an s x |N(v)| matrix",
+    "EXPC_MULTIAGG": "it aggregates with constant rows appended to the generator's matrix",
+}
 
 
 def _echo_config(command, args):
@@ -66,25 +72,13 @@ def cmd_verify(args):
 
 def cmd_compare_gat(args):
     _echo_config("compare-gat", args)
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for K in args.heads:
-        for d in args.widths:
-            dev = 0.0
-            for _ in range(args.trials):
-                g = G.gen_er_triangle_dataset(
-                    1, n_nodes=10, p=0.4, seed=int(rng.integers(0, 2**31))).graphs[0]
-                g = G.Graph(10, g.edges, rng.standard_normal((10, d)))
-                spec = L.LayerSpec("GAT_DEFAULT", d, d, heads=K)
-                params = L.init_layer_params(spec, rng)
-                H = T.Tensor(g.node_features)
-                out1 = L.gat_default_forward(params, g, H, K)
-                out2 = L.gat_expanding_forward(params, g, H, K)
-                dev = max(dev, float(np.max(np.abs(out1.data - out2.data))))
-            print(f"heads={K} width={d}: {args.trials} trials, max abs deviation {dev:.3e}")
-            worst = max(worst, dev)
-    ok = worst < 1e-10
-    print(f"compare-gat: max deviation {worst:.3e} -> {'PASS' if ok else 'FAIL'}")
+    (res,) = V.run_suite("prop4", trials=args.trials, seed=args.seed,
+                         heads=args.heads, widths=args.widths)
+    for K, d, dev in res["detail"]["deviations"]:
+        print(f"heads={K} width={d}: {args.trials} trials, max abs deviation {dev:.3e}")
+    ok = res["verdict"]
+    print(f"compare-gat: max deviation {res['detail']['max_abs_deviation']:.3e} "
+          f"-> {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
@@ -156,7 +150,9 @@ def cmd_analyze_rank(args):
     H = T.Tensor(graph.node_features)
     reported = False
     for li, (spec, params) in enumerate(zip(model.specs, model.layer_params)):
-        if spec.kind in ("EXPC", "EXPC_MULTIAGG", "EXPC_THREE_STAGE", "COMBC"):
+        if spec.kind in RANK_SKIPPED:
+            print(f"layer {li} ({spec.kind}): skipped, {RANK_SKIPPED[spec.kind]}")
+        elif spec.kind in ("EXPC", "EXPC_THREE_STAGE"):
             blocks = L.expc_local_blocks(params, graph, H)
             print(f"layer {li} ({spec.kind}, s={spec.s}): "
                   "node, rank(coefficients), rank(local features), rank(aggregate)")
@@ -167,19 +163,18 @@ def cmd_analyze_rank(args):
             reported = True
         H = L.layer_forward(spec, params, graph, H)
     if not reported:
-        print("error: checkpoint has no coefficient-generating layers",
+        print("error: checkpoint has no EXPC or EXPC_THREE_STAGE layer to report",
               file=sys.stderr)
         return 1
     return 0
 
 
-def _add_dataset_args(p, with_gen=True):
+def _add_dataset_args(p):
     p.add_argument("--data", default=None, help="JSON-lines dataset path")
-    if with_gen:
-        p.add_argument("--count", type=int, default=500)
-        p.add_argument("--nodes", type=int, default=10)
-        p.add_argument("--p", type=float, default=0.3)
-        p.add_argument("--data-seed", type=int, default=0)
+    p.add_argument("--count", type=int, default=500)
+    p.add_argument("--nodes", type=int, default=10)
+    p.add_argument("--p", type=float, default=0.3)
+    p.add_argument("--data-seed", type=int, default=0)
 
 
 def _add_train_args(p):

@@ -16,8 +16,8 @@ from . import tensor as T
 
 __all__ = [
     "Graph", "GraphBatch", "Dataset", "GraphFileError", "neighborhood", "count_triangles",
-    "relabel", "are_isomorphic", "gen_er_triangle_dataset", "gen_regular_pair",
-    "load_graphs", "save_graphs", "split_path",
+    "relabel", "are_isomorphic", "gen_er_triangle_dataset", "random_featured_graph",
+    "gen_regular_pair", "load_graphs", "save_graphs", "split_path",
 ]
 
 
@@ -239,6 +239,15 @@ def are_isomorphic(g1, g2):
     return False
 
 
+def _er_edges(rng, n, p):
+    """Erdos-Renyi edges: each pair u < v, in row-major order, is kept when
+    its uniform draw is below p. One rng.random(k) call draws the same
+    numbers, and leaves rng in the same state, as k scalar calls."""
+    u, v = np.triu_indices(n, 1)
+    keep = rng.random(u.size) < p
+    return list(zip(u[keep].tolist(), v[keep].tolist()))
+
+
 def gen_er_triangle_dataset(count, n_nodes=10, p=0.3, seed=0,
                             split_fracs=(0.8, 0.1, 0.1)):
     """Erdos-Renyi graphs with constant feature [1.0]; target = triangle count.
@@ -251,9 +260,7 @@ def gen_er_triangle_dataset(count, n_nodes=10, p=0.3, seed=0,
     rng = np.random.default_rng(seed)
     graphs = []
     for _ in range(count):
-        edges = [(u, v) for u, v in itertools.combinations(range(n_nodes), 2)
-                 if rng.random() < p]
-        g = Graph(n_nodes, edges, np.ones((n_nodes, 1)))
+        g = Graph(n_nodes, _er_edges(rng, n_nodes, p), np.ones((n_nodes, 1)))
         g.target = float(count_triangles(g))
         graphs.append(g)
     n_train = int(round(split_fracs[0] * count))
@@ -266,6 +273,13 @@ def gen_er_triangle_dataset(count, n_nodes=10, p=0.3, seed=0,
     meta = {"generator": "er-triangles", "seed": seed, "n_nodes": n_nodes,
             "p": p, "count": count}
     return Dataset(graphs, split, meta)
+
+
+def random_featured_graph(rng, n, p, width):
+    """ER graph on the edges gen_er_triangle_dataset makes for a seed drawn
+    from rng, with (n, width) standard normal features drawn next; no target."""
+    edges = _er_edges(np.random.default_rng(int(rng.integers(0, 2**31))), n, p)
+    return Graph(n, edges, rng.standard_normal((n, width)))
 
 
 def gen_regular_pair():

@@ -276,22 +276,15 @@ def expc_three_stage_forward(params, graph, H, spec):
     report["coeff"][v] is the s x |N(v)| matrix, report["active"][(v, i)]
     the tuple of active neighbors.
     """
-    Hd = H.data if isinstance(H, T.Tensor) else np.asarray(H, dtype=np.float64)
-    Wc, bc = params["Wc"].data, params["bc"].data
     W1, b1 = params["W1"].data, params["b1"].data
-    s, d_out = Wc.shape[0], W1.shape[0]
+    d_out = W1.shape[0]
     out = np.zeros((graph.num_nodes, d_out))
     report = {"coeff": {}, "active": {}}
-    for v in range(graph.num_nodes):
+    for v, (M_v, H_v) in expc_local_blocks(params, graph, H).items():
         nbrs = neighborhood(graph, v)
-        hv = Hd[v]
-        M_v = np.empty((s, len(nbrs)))
-        pre = np.empty((len(nbrs), d_out))
-        for j, u in enumerate(nbrs):
-            m_uv = np.tanh(Wc @ np.concatenate([hv, Hd[u]]) + bc[:, 0])
-            M_v[:, j] = m_uv
-            expanded = np.outer(m_uv, Hd[u]).reshape(-1, order="F")
-            pre[j] = W1 @ expanded + b1[:, 0]
+        # row j: W1 vec(m_j h_j^T) + b1 for neighbour j, vec column-major
+        expanded = (H_v[:, :, None] * M_v.T[:, None, :]).reshape(len(nbrs), -1)
+        pre = expanded @ W1.T + b1.T
         report["coeff"][v] = M_v
         for i in range(d_out):
             active = [j for j in range(len(nbrs)) if pre[j, i] > 0.0]
@@ -299,7 +292,7 @@ def expc_three_stage_forward(params, graph, H, spec):
             if not active:
                 continue
             M_vi = M_v[:, active]                    # s x |N_i(v)|
-            H_vi = Hd[[nbrs[j] for j in active]]     # |N_i(v)| x d_in
+            H_vi = H_v[active]                       # |N_i(v)| x d_in
             r_vi = M_vi @ H_vi                       # aggregate first,
             out[v, i] = W1[i] @ r_vi.reshape(-1, order="F") + len(active) * b1[i, 0]
     return out, report
@@ -315,8 +308,8 @@ def expc_local_blocks(params, graph, H):
     blocks = {}
     for v in range(graph.num_nodes):
         nbrs = neighborhood(graph, v)
-        pair = np.concatenate([np.tile(Hd[v], (len(nbrs), 1)), Hd[nbrs]], axis=1)
-        M_v = np.tanh(pair @ Wc.T + bc.T).T
+        M_v = np.column_stack([np.tanh(Wc @ np.concatenate([Hd[v], Hd[u]]) + bc[:, 0])
+                               for u in nbrs])
         blocks[v] = (M_v, Hd[nbrs])
     return blocks
 
@@ -436,6 +429,9 @@ def save_model(model, path):
 
 
 def load_model(path):
+    """Rebuild a save_model checkpoint. The manifest's parameter list must
+    name every parameter of the model its layer specs build, once, with
+    the shape the specs give it."""
     with open(f"{path}.json") as fh:
         manifest = json.load(fh)
     specs = [LayerSpec(**sp) for sp in manifest["layers"]]
@@ -445,10 +441,19 @@ def load_model(path):
     offset = 0
     by_name = dict(model.named_params())
     for entry in manifest["params"]:
-        shape = tuple(entry["shape"])
+        name, shape = entry["name"], tuple(entry["shape"])
+        if name not in by_name:
+            raise ValueError(f"checkpoint parameter {name!r} is unknown or repeated "
+                             f"for its layer specs")
+        param = by_name.pop(name)
+        if shape != param.data.shape:
+            raise ValueError(f"checkpoint parameter {name!r} has shape {list(shape)}, "
+                             f"its layer spec gives {list(param.data.shape)}")
         size = int(np.prod(shape))
-        by_name[entry["name"]].data = raw[offset:offset + size].reshape(shape).copy()
+        param.data = raw[offset:offset + size].reshape(shape).copy()
         offset += size
+    if by_name:
+        raise ValueError(f"checkpoint lacks parameters {sorted(by_name)}")
     if offset != raw.size:
         raise ValueError(f"parameter blob size mismatch: read {offset}, file has {raw.size}")
     return model

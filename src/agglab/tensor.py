@@ -18,9 +18,9 @@ to np.add.at.
 import numpy as np
 
 __all__ = [
-    "Tape", "Tensor", "Segments", "backward", "add", "sub", "scale", "elementwise_mul", "matmul",
-    "activation", "softmax_rows", "vec_stack", "vec_unstack", "outer",
-    "concat", "sum_rows", "mean_rows", "add_bias", "sum_all", "abs_", "log",
+    "Tape", "Tensor", "Segments", "add", "sub", "scale", "elementwise_mul", "matmul",
+    "activation", "softmax_rows", "vec_stack", "vec_unstack",
+    "concat", "add_bias", "sum_all", "abs_", "log",
     "gather_rows", "scatter_add_rows", "segment_softmax", "expand_outer",
     "transpose", "slice_rows", "row_scale", "colvec_mul", "finite_diff_check",
 ]
@@ -109,13 +109,6 @@ class Tape:
                     tensor.grad = np.array(contrib)  # copy: vjp may return a view
                 else:
                     tensor.grad += contrib
-
-
-def backward(loss):
-    """Run the backward pass of the tape the scalar loss lives on."""
-    if loss.tape is None:
-        raise ValueError("loss is a constant: nothing to differentiate")
-    loss.tape.backward(loss)
 
 
 def _result_tape(tensors):
@@ -246,16 +239,6 @@ def vec_unstack(v, rows, cols):
     return _make(y, (v,), [(v, lambda g: g.reshape(rows * cols, 1, order="F"))])
 
 
-def outer(m, h):
-    """Outer product m·hᵀ of two column vectors; result has rank <= 1."""
-    m, h = _as_tensor(m), _as_tensor(h)
-    if m.data.ndim != 2 or m.data.shape[1] != 1 or h.data.ndim != 2 or h.data.shape[1] != 1:
-        raise ValueError(f"outer: need column vectors, got {m.data.shape} and {h.data.shape}")
-    md, hd = m.data, h.data
-    return _make(md @ hd.T, (m, h),
-                 [(m, lambda g: g @ hd), (h, lambda g: g.T @ md)])
-
-
 def concat(tensors, axis=0):
     """Concatenate 2-D tensors along the given axis."""
     tensors = [_as_tensor(t) for t in tensors]
@@ -271,22 +254,6 @@ def concat(tensors, axis=0):
         else:
             pairs.append((t, lambda g, lo=lo, hi=hi: g[:, lo:hi]))
     return _make(data, tensors, pairs)
-
-
-def sum_rows(x):
-    """Sum over rows: (m, n) -> (1, n)."""
-    x = _as_tensor(x)
-    m = x.data.shape[0]
-    y = x.data.sum(axis=0, keepdims=True)
-    return _make(y, (x,), [(x, lambda g: np.repeat(g, m, axis=0))])
-
-
-def mean_rows(x):
-    """Mean over rows: (m, n) -> (1, n)."""
-    x = _as_tensor(x)
-    m = x.data.shape[0]
-    y = x.data.mean(axis=0, keepdims=True)
-    return _make(y, (x,), [(x, lambda g: np.repeat(g, m, axis=0) / m)])
 
 
 def add_bias(x, b):

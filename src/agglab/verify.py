@@ -13,7 +13,7 @@ import numpy as np
 from . import analysis as A
 from . import layers as L
 from . import tensor as T
-from .graphs import gen_er_triangle_dataset
+from .graphs import random_featured_graph
 
 __all__ = ["run_suite", "SUITES"]
 
@@ -36,34 +36,29 @@ def _result(prop, verdict, detail, witness=None):
             "witness": _ser(witness)}
 
 
-def _random_graph(rng, n=10, p=0.4, width=1):
-    seed = int(rng.integers(0, 2**31))
-    g = gen_er_triangle_dataset(1, n_nodes=n, p=p, seed=seed).graphs[0]
-    if width != 1:
-        from .graphs import Graph
-        g = Graph(n, g.edges, rng.standard_normal((n, width)))
-    return g
-
-
-def verify_attention_two_routes(trials=20, seed=0):
+def verify_attention_two_routes(trials=20, seed=0, heads=(1, 2, 4), widths=(4, 8)):
     """The per-head attention layer and its expanded-coefficient rewrite
-    compute identical outputs for shared parameters (suite 'prop4')."""
+    compute identical outputs for shared parameters (suite 'prop4');
+    detail["deviations"] has [heads, width, max abs deviation] per config."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for K in (1, 2, 4):
-        for d in (4, 8):
+    deviations = []
+    for K in heads:
+        for d in widths:
+            dev = 0.0
             for _ in range(trials):
-                g = _random_graph(rng, n=10, p=0.4, width=d)
+                g = random_featured_graph(rng, 10, 0.4, d)
                 spec = L.LayerSpec("GAT_DEFAULT", d, d, heads=K)
                 params = L.init_layer_params(spec, rng)
                 H = T.Tensor(g.node_features)
                 out1 = L.gat_default_forward(params, g, H, K)
                 out2 = L.gat_expanding_forward(params, g, H, K)
-                worst = max(worst, float(np.max(np.abs(out1.data - out2.data))))
-    verdict = worst < 1e-10
-    return _result("prop4", verdict,
-                   {"trials_per_config": trials, "heads": [1, 2, 4],
-                    "widths": [4, 8], "max_abs_deviation": worst})
+                dev = max(dev, float(np.max(np.abs(out1.data - out2.data))))
+            deviations.append([K, d, dev])
+    worst = max(dev for _, _, dev in deviations)
+    return _result("prop4", worst < 1e-10,
+                   {"trials_per_config": trials, "heads": list(heads),
+                    "widths": list(widths), "max_abs_deviation": worst,
+                    "deviations": deviations})
 
 
 def verify_dimensionwise_rearrangement(trials=20, seed=0):
@@ -75,7 +70,7 @@ def verify_dimensionwise_rearrangement(trials=20, seed=0):
     subset_mismatches = 0
     for _ in range(trials):
         d_in, d_out, s = 3, 4, int(rng.integers(1, 4))
-        g = _random_graph(rng, n=8, p=0.4, width=d_in)
+        g = random_featured_graph(rng, 8, 0.4, d_in)
         spec = L.LayerSpec("EXPC", d_in, d_out, s=s, re_sum=True, mlp_depth=1)
         params = L.init_layer_params(spec, rng)
         H = T.Tensor(g.node_features)
@@ -234,9 +229,9 @@ def verify_stacked_intersections(trials=40, seed=0):
             for j, x2 in enumerate(ms2):
                 if n1 == n2 and x1 == x2:
                     continue
-                if A.multiset_distance_under2(f1, f2, x1, x2) < 1e-9:
+                if A.output_distance(f1(x1), f2(x2)) < 1e-9:
                     base_pairs.add((i, j))
-                if A.multiset_distance_under2(g1, g2, x1, x2) < 1e-9:
+                if A.output_distance(g1(x1), g2(x2)) < 1e-9:
                     stacked_pairs.add((i, j))
         if not stacked_pairs <= base_pairs:
             bad_i += 1
@@ -294,8 +289,8 @@ def verify_disjoint_ranges(trials=50, seed=0):
         M2 = rng.standard_normal((s, n2))
         M2[:, -1] = (M1 @ t1 - M2[:, :-1] @ t2[:-1]) / t2[-1]
         pair = A.cross_kernel_collision(M1, M2)
-        if pair is not None and A.multiset_distance_under2(
-                A.MatrixAggregator(M1), A.MatrixAggregator(M2), *pair) < 1e-9:
+        if pair is not None and A.output_distance(
+                A.MatrixAggregator(M1)(pair[0]), A.MatrixAggregator(M2)(pair[1])) < 1e-9:
             deficient_found += 1
     verdict = (searched_clean == certified and trivial_kernel == certified
                and deficient_found == deficient_trials)
@@ -370,11 +365,12 @@ def verify_composition_bounds(trials=20, seed=0):
 
 def verify_constant_row_variants(trials=20, seed=0):
     """Appending an all-ones coefficient row beats plain SUM (suite
-    'appendixG'): it keeps every SUM separation and strictly adds some."""
+    'appendixG'): it keeps every SUM separation and strictly adds some;
+    detail["strict_gain_example"] is the first pair only the extension separates."""
     rng = np.random.default_rng(seed)
     SUM = A.BasicAggregator("SUM")
     strict = 0
-    witness = None
+    example = witness = None
     for _ in range(trials):
         n = int(rng.integers(2, 4))
         M = np.tanh(rng.standard_normal((int(rng.integers(1, 3)), n)))
@@ -385,14 +381,16 @@ def verify_constant_row_variants(trials=20, seed=0):
         if not sum_sep <= ext_sep:
             return _result("appendixG", False, {"trials": trials}, (M,))
         gained = ext_sep - sum_sep
-        if gained:
+        if not gained:
+            witness = witness or (M,)
+        else:
             strict += 1
-            if witness is None:
-                i, j = sorted(gained)[0]
-                witness = (multisets[i], multisets[j])
-    verdict = strict == trials
-    return _result("appendixG", verdict,
-                   {"trials": trials, "strictly_stronger_cases": strict}, witness)
+            if example is None:
+                i, j = min(gained)
+                example = (multisets[i], multisets[j])
+    return _result("appendixG", strict == trials,
+                   {"trials": trials, "strictly_stronger_cases": strict,
+                    "strict_gain_example": _ser(example)}, witness)
 
 
 SUITES = {
@@ -406,15 +404,20 @@ SUITES = {
 }
 
 
-def run_suite(name, trials=None, seed=0):
-    """Run one named suite (or 'all'); returns a list of result dicts."""
+def run_suite(name, trials=None, seed=0, **params):
+    """Run one named suite (or 'all'); returns a list of result dicts.
+    params go to the suite (prop4 takes heads and widths). trials and every
+    params value must be at least 1, so that no run passes checking nothing."""
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    for flag, values in params.items():
+        if not values or min(values) < 1:
+            raise ValueError(f"{flag} must be at least 1, got {list(values)}")
     if name == "all":
-        return [run_suite(n, trials=trials, seed=seed)[0] for n in SUITES]
+        return [run_suite(n, trials=trials, seed=seed, **params)[0] for n in SUITES]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{sorted(SUITES) + ['all']}")
-    fn = SUITES[name]
-    kwargs = {"seed": seed}
     if trials is not None:
-        kwargs["trials"] = trials
-    return [fn(**kwargs)]
+        params["trials"] = trials
+    return [SUITES[name](seed=seed, **params)]

@@ -58,12 +58,6 @@ ALL_LAYER_SPECS = [
 ]
 
 
-def random_featured_graph(rng, n=8, p=0.4, width=3):
-    g = G.gen_er_triangle_dataset(1, n_nodes=n, p=p,
-                                  seed=int(rng.integers(0, 2**31))).graphs[0]
-    return G.Graph(n, g.edges, rng.standard_normal((n, width)))
-
-
 def test_criterion_01_attention_two_route_equivalence():
     t0 = time.perf_counter()
     res = V.verify_attention_two_routes(trials=20, seed=0)
@@ -138,7 +132,7 @@ def test_criterion_06_rank_collapse_and_preservation():
     # product with any feature block stays at rank <= 1
     collapse_ok = True
     for _ in range(20):
-        g = random_featured_graph(rng, n=8, width=1)
+        g = G.random_featured_graph(rng, 8, 0.4, 1)
         dhat = g.degrees() + 1.0
         for v in range(g.num_nodes):
             nbrs = G.neighborhood(g, v)
@@ -160,7 +154,7 @@ def test_criterion_06_rank_collapse_and_preservation():
     for _ in range(100):
         d = int(rng.integers(2, 5))
         s = d + int(rng.integers(0, 3))
-        g = random_featured_graph(rng, n=8, p=0.5, width=d)
+        g = G.random_featured_graph(rng, 8, 0.5, d)
         spec = L.LayerSpec("EXPC", d, d, s=s)
         params = L.init_layer_params(spec, rng)
         blocks = L.expc_local_blocks(params, g, T.Tensor(g.node_features))
@@ -178,7 +172,7 @@ def test_criterion_07_permutation_invariance():
     worst = 0.0
     for spec in ALL_LAYER_SPECS:
         for _ in range(20):
-            g = random_featured_graph(rng, n=7, width=spec.d_in)
+            g = G.random_featured_graph(rng, 7, 0.4, spec.d_in)
             params = L.init_layer_params(spec, rng)
             perm = list(rng.permutation(7))
             g2 = G.relabel(g, perm)
@@ -237,7 +231,7 @@ def test_criterion_09_gradient_correctness():
     for kind, make_spec in GRAD_CASES.items():
         for _ in range(5):
             spec = make_spec(rng)
-            g = random_featured_graph(rng, n=6, width=spec.d_in)
+            g = G.random_featured_graph(rng, 6, 0.4, spec.d_in)
             params = L.init_layer_params(spec, rng)
             w = rng.standard_normal((6, spec.d_out))
             for name, theta in params.items():
@@ -255,7 +249,7 @@ def test_criterion_09_gradient_correctness():
     for _ in range(5):
         spec = L.LayerSpec("EXPC", 2, 3, s=2, re_sum=True, mlp_depth=1)
         spec3 = L.LayerSpec("EXPC_THREE_STAGE", 2, 3, s=2)
-        g = random_featured_graph(rng, n=5, width=2)
+        g = G.random_featured_graph(rng, 5, 0.4, 2)
         params = L.init_layer_params(spec, rng)
         w = rng.standard_normal((5, 3))
         for name, theta in params.items():

@@ -19,29 +19,18 @@ def test_numerical_rank_basics():
     assert A.numerical_rank(np.zeros((2, 3))) == 0
 
 
-def test_apply_agg_examples():
-    out = A.apply_agg(np.array([[1.0, 1.0, 1.0]]), A.MultisetSample([1.0, 2.0, 3.0]), [2, 0, 1])
-    assert out.tolist() == [6.0]
-    out = A.apply_agg(np.full((1, 3), 1 / 3), A.MultisetSample([3.0, 6.0, 9.0]), [0, 1, 2])
-    assert abs(out[0] - 6.0) < 1e-15
-
-
 def test_apply_agg_permutation_invariance_exact():
+    # f_M reads the canonical element order, so every presentation order
+    # of the same elements gives the same bits
     rng = np.random.default_rng(0)
     for n in range(1, 5):  # exhaustive over all n! orderings
-        M = rng.standard_normal((2, n))
-        x = A.MultisetSample(rng.standard_normal((n, 3)))
-        outs = [A.apply_agg(M, x, list(p)) for p in itertools.permutations(range(n))]
-        for o in outs[1:]:
-            assert np.array_equal(o, outs[0])  # bitwise, max abs diff 0
-
-
-def test_apply_agg_validation():
-    M = np.ones((1, 3))
-    with pytest.raises(ValueError, match="permutation"):
-        A.apply_agg(M, A.MultisetSample([1.0, 2.0, 3.0]), [0, 0, 1])
+        f = A.MatrixAggregator(rng.standard_normal((2, n)))
+        X = rng.standard_normal((n, 3))
+        ref = f(A.MultisetSample(X))
+        for perm in itertools.permutations(range(n)):
+            assert np.array_equal(f(A.MultisetSample(X[list(perm)])), ref)
     with pytest.raises(ValueError, match="size"):
-        A.apply_agg(M, A.MultisetSample([1.0, 2.0]), [0, 1])
+        A.MatrixAggregator(np.ones((1, 3)))(A.MultisetSample([1.0, 2.0]))
 
 
 def test_strictly_stronger_by_stack():
@@ -262,3 +251,52 @@ def test_constant_row_extension_strictly_stronger_than_sum():
         ext_sep = A.separation_set(ext, multisets)
         assert sum_sep <= ext_sep
         assert len(ext_sep - sum_sep) > 0  # e.g. {0,2} vs {1,1}
+
+
+def test_output_distance():
+    assert A.output_distance(np.array([0.0, 3.0]), np.array([4.0, 0.0])) == 5.0
+    assert A.output_distance(np.zeros(2), np.zeros(3)) == float("inf")
+
+
+def _compare_strength_pairwise(agg1, agg2, grid, max_size, tol=A.COLLISION_TOL):
+    """The row-major pairwise scan compare_strength replaced, kept as its oracle."""
+    sizes = sorted(set(A._size_options(agg1, max_size)) & set(A._size_options(agg2, max_size)))
+    multisets = [m for k in sizes for m in A.enumerate_multisets(grid, k)]
+    outs1 = [agg1(m) for m in multisets]
+    outs2 = [agg2(m) for m in multisets]
+
+    def sep(outs, i, j):
+        return outs[i].shape != outs[j].shape or np.linalg.norm(outs[i] - outs[j]) >= tol
+
+    only_first = only_second = None
+    for i in range(len(multisets)):
+        for j in range(i + 1, len(multisets)):
+            s1, s2 = sep(outs1, i, j), sep(outs2, i, j)
+            if s1 and not s2 and only_first is None:
+                only_first = (multisets[i], multisets[j])
+            elif s2 and not s1 and only_second is None:
+                only_second = (multisets[i], multisets[j])
+    return only_first, only_second
+
+
+def test_compare_strength_matches_the_pairwise_scan():
+    rng = np.random.default_rng(19)
+    basics = [A.BasicAggregator(k) for k in ("SUM", "MEAN", "NMEAN", "MAX", "MIN", "STD")]
+    cases = [(a, b, [0.0, 1.0, 2.0], 3) for a in basics for b in basics]
+    for _ in range(30):
+        n = int(rng.integers(1, 4))
+        # small integer entries, so some pairs collide on the grid
+        f1 = A.MatrixAggregator(rng.integers(-1, 2, size=(int(rng.integers(1, 3)), n)))
+        f2 = A.MatrixAggregator(rng.integers(-1, 2, size=(int(rng.integers(1, 3)), n)))
+        cases.append((f1, f2, GRID, n))
+        cases.append((f1, SUM, GRID, n))
+    expected = {(True, True): "incomparable", (True, False): "stronger",
+                (False, True): "weaker", (False, False): "equal"}
+    verdicts = set()
+    for agg1, agg2, grid, max_size in cases:
+        res = A.compare_strength(agg1, agg2, grid, max_size=max_size)
+        first, second = _compare_strength_pairwise(agg1, agg2, grid, max_size)
+        assert (res["only_first"], res["only_second"]) == (first, second)
+        assert res["verdict"] == expected[(first is not None, second is not None)]
+        verdicts.add(res["verdict"])
+    assert verdicts == {"incomparable", "stronger", "weaker", "equal"}

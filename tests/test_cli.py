@@ -175,3 +175,37 @@ def test_bad_agglab_threads_fails_cleanly(value, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "AGGLAB_THREADS" in err and repr(value) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--suite", "prop4", "--trials", "-1"], "trials"),
+    (["verify", "--suite", "all", "--trials", "0"], "trials"),
+    (["compare-gat", "--trials", "0"], "trials"),
+    (["compare-gat", "--heads", "2", "0"], "heads"),
+    (["compare-gat", "--widths", "0"], "widths"),
+])
+def test_runs_that_check_nothing_are_rejected(argv, flag, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert flag in captured.err and "Traceback" not in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_analyze_rank_skips_layers_it_cannot_report(tmp_path, capsys):
+    from agglab import layers as L
+    combc = tmp_path / "combc"
+    assert run(["train", "--model", "combc", "--width", "3", "--epochs", "1",
+                "--lr", "0", "--count", "5", "--out", str(combc)]) == 0
+    capsys.readouterr()
+    assert run(["analyze-rank", "--checkpoint", str(combc), "--count", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.count("(COMBC): skipped") == 2 and "v=0:" not in captured.out
+    assert "no EXPC" in captured.err
+
+    mixed = tmp_path / "mixed"
+    L.save_model(L.Model([L.LayerSpec("EXPC_MULTIAGG", 1, 3, s=2),
+                          L.LayerSpec("EXPC", 3, 3, s=2)]), mixed)
+    assert run(["analyze-rank", "--checkpoint", str(mixed), "--count", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "layer 0 (EXPC_MULTIAGG): skipped" in out
+    assert "layer 1 (EXPC, s=2)" in out and "layer 0 (EXPC_MULTIAGG, s=" not in out

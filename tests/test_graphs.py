@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -111,6 +112,32 @@ def test_er_generator_degenerate_probabilities():
     assert all(g.target == 1.0 for g in full.graphs)
     empty = G.gen_er_triangle_dataset(3, n_nodes=5, p=0.0, seed=0)
     assert all(g.target == 0.0 for g in empty.graphs)
+
+
+def _scalar_er_edges(rng, n, p):
+    """One rng.random() call per node pair, the loop _er_edges replaced."""
+    return [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
+
+
+@pytest.mark.parametrize("n, p", [(0, 0.5), (1, 0.5), (2, 0.5), (7, 0.3), (12, 0.9)])
+def test_er_edges_match_the_scalar_draws(n, p):
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert G._er_edges(rng, n, p) == _scalar_er_edges(ref, n, p)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        ds = G.gen_er_triangle_dataset(3, n_nodes=n, p=p, seed=seed)
+        ref = np.random.default_rng(seed)
+        assert [g.edges for g in ds.graphs] == [_scalar_er_edges(ref, n, p) for _ in range(3)]
+
+
+def test_random_featured_graph_takes_the_generator_edges():
+    rng = np.random.default_rng(4)
+    for n, p, width in [(1, 0.4, 2), (8, 0.4, 3), (10, 0.7, 1)]:
+        seed = int(copy.deepcopy(rng).integers(0, 2**31))  # the seed it will draw
+        g = G.random_featured_graph(rng, n, p, width)
+        assert g.edges == G.gen_er_triangle_dataset(1, n, p, seed).graphs[0].edges
+        assert g.node_features.shape == (n, width) and g.target is None
 
 
 def test_save_load_roundtrip(tmp_path):

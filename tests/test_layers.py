@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -435,6 +437,48 @@ def test_model_forward_and_checkpoint_roundtrip(tmp_path):
         assert n1 == n2
         assert t1.data.tobytes() == t2.data.tobytes()
     assert np.array_equal(back.forward(g).data, pred.data)
+
+
+@pytest.mark.parametrize("kind", L.LAYER_KINDS)
+def test_checkpoint_roundtrip_every_kind(kind, tmp_path):
+    d = 4 if kind.startswith("GAT") else 3
+    model = L.Model([L.LayerSpec(kind, 4, d, s=2, heads=2)], seed=1, head_dim=2)
+    L.save_model(model, tmp_path / "ckpt")
+    back = L.load_model(tmp_path / "ckpt")
+    assert [(n, t.data.tobytes()) for n, t in back.named_params()] == \
+        [(n, t.data.tobytes()) for n, t in model.named_params()]
+
+
+def _rewrite_manifest(path, edit):
+    manifest = json.loads(path.read_text())
+    edit(manifest["params"])
+    path.write_text(json.dumps(manifest))
+
+
+def test_load_model_checks_the_manifest_against_the_specs(tmp_path):
+    model = L.Model([L.LayerSpec("EXPC", 2, 4, s=1)], seed=0)
+    L.save_model(model, tmp_path / "ckpt")
+    manifest = tmp_path / "ckpt.json"
+    original = manifest.read_text()
+
+    def swap_w1(params):
+        entry = next(e for e in params if e["name"] == "layer0.W1")
+        assert entry["shape"] == [4, 2]
+        entry["shape"] = [2, 4]
+
+    _rewrite_manifest(manifest, swap_w1)
+    with pytest.raises(ValueError, match=r"'layer0.W1'.*\[2, 4\].*\[4, 2\]"):
+        L.load_model(tmp_path / "ckpt")
+
+    manifest.write_text(original)
+    _rewrite_manifest(manifest, lambda params: params[0].update(name="layer0.W9"))
+    with pytest.raises(ValueError, match="'layer0.W9'"):
+        L.load_model(tmp_path / "ckpt")
+
+    manifest.write_text(original)
+    _rewrite_manifest(manifest, lambda params: params.pop())
+    with pytest.raises(ValueError, match="lacks parameters.*head.b"):
+        L.load_model(tmp_path / "ckpt")
 
 
 def test_param_shapes_follow_equations():

@@ -28,9 +28,8 @@ def matrix_and_multiset(draw):
 @settings(max_examples=200, deadline=None)
 def test_apply_agg_bitwise_permutation_invariant(case):
     M, X, perm = case
-    x = A.MultisetSample(X)
-    identity = list(range(x.size))
-    assert np.array_equal(A.apply_agg(M, x, perm), A.apply_agg(M, x, identity))
+    f = A.MatrixAggregator(M)
+    assert np.array_equal(f(A.MultisetSample(X[perm])), f(A.MultisetSample(X)))
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**31 - 1))

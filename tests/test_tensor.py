@@ -108,23 +108,11 @@ def test_vec_stack_roundtrip_bitwise():
     assert back.data.tobytes() == x.tobytes()
 
 
-def test_outer_examples():
-    out = T.outer(T.Tensor([[1.0], [0.0]]), T.Tensor([[5.0], [6.0]]))
-    assert np.array_equal(out.data, [[5.0, 6.0], [0.0, 0.0]])
-    z = T.outer(T.Tensor(np.zeros((2, 1))), T.Tensor([[5.0], [6.0]]))
-    assert np.array_equal(z.data, np.zeros((2, 2)))
-    rng = np.random.default_rng(1)
-    r = T.outer(T.Tensor(rng.standard_normal((4, 1))), T.Tensor(rng.standard_normal((3, 1))))
-    assert np.linalg.matrix_rank(r.data) == 1
-
-
 def test_combinators():
     out = T.concat([T.Tensor([[1.0]]), T.Tensor([[2.0], [3.0]])], axis=0)
     assert np.array_equal(out.data.ravel(), [1.0, 2.0, 3.0])
     em = T.elementwise_mul(T.Tensor([[1.0, 2.0]]), T.Tensor([[3.0, 4.0]]))
     assert np.array_equal(em.data, [[3.0, 8.0]])
-    sr = T.sum_rows(T.Tensor(np.ones((3, 2))))
-    assert np.array_equal(sr.data, [[3.0, 3.0]])
 
 
 def test_backward_linear_loss():
@@ -314,11 +302,7 @@ def _random_differentiable_graph(rng, x):
         T.vec_stack(x),
         T.transpose(x),
         T.slice_rows(x, 0, m - 1),
-        T.sum_rows(x),
-        T.mean_rows(x),
         T.sub(T.scale(x, 1.7), x),
-        T.outer(T.slice_rows(T.vec_stack(x), 0, 2),
-                T.slice_rows(T.vec_stack(x), 2, 4)),
         T.concat([x, x], axis=1),
         T.abs_(T.add(x, T.Tensor(np.full((m, n), 0.11)))),
         T.log(T.add(T.elementwise_mul(x, x), T.Tensor(np.full((m, n), 1.0)))),
