@@ -96,7 +96,8 @@ def cmd_train(args):
                             loss=args.loss, readout=args.readout)
     head_dim = 1
     if args.loss == "cross_entropy":
-        head_dim = int(max(g.target for g in ds.graphs)) + 1
+        head_dim = int(max((g.target for g in ds.graphs if g.target is not None),
+                           default=0)) + 1
     model, metrics = TR.train(_build_specs(args), ds, config, head_dim=head_dim)
     label = f"{args.model}-{args.s}" if args.model in ("expc",) else args.model
     print(f"train {label}: {config.epochs} epochs, "

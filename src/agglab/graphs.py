@@ -4,7 +4,9 @@ brute-force combinatorial oracles used as ground truth.
 Graphs are undirected, stored without self-loops; neighborhoods always
 include the node itself. Node indices are dense in [0, num_nodes).
 A GraphBatch is the disjoint union of several graphs; layers and the
-model read both through the same attributes.
+model read both through the same attributes. The message index, sorted
+by destination and then source, is the only adjacency structure:
+degrees and neighborhoods are read off it.
 """
 
 import itertools
@@ -25,7 +27,20 @@ class GraphFileError(ValueError):
     """Malformed dataset file; message carries the offending line number."""
 
 
-class Graph:
+class _MessageGraph:
+    """What Graph and GraphBatch read off their message index."""
+
+    _deg = None
+
+    def degrees(self):
+        """Neighbour count per node, self excluded (cached; do not mutate)."""
+        if self._deg is None:
+            dst = self.message_segments()[1].index
+            self._deg = np.bincount(dst, minlength=self.num_nodes) - 1
+        return self._deg
+
+
+class Graph(_MessageGraph):
     """Undirected graph with per-node feature vectors and an optional target.
 
     Edges are normalized to sorted (u, v) pairs with u < v, deduplicated,
@@ -54,22 +69,9 @@ class Graph:
                 f"node_features must be ({self.num_nodes}, d), got {feats.shape}")
         self.node_features = feats
         self.target = target
-        self._adj = None
         self._msg = None
         self._segs = None
-        self._deg = None
         self._pool = None
-
-    @property
-    def adjacency(self):
-        """Sorted adjacency lists, built lazily."""
-        if self._adj is None:
-            adj = [[] for _ in range(self.num_nodes)]
-            for u, v in self.edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            self._adj = [sorted(a) for a in adj]
-        return self._adj
 
     def message_index(self):
         """(src, dst) index arrays with one entry per (v, u in N(v)) pair.
@@ -78,12 +80,13 @@ class Graph:
         follow the canonical sorted neighborhood (self included).
         """
         if self._msg is None:
-            src, dst = [], []
-            for v in range(self.num_nodes):
-                for u in neighborhood(self, v):
-                    src.append(u)
-                    dst.append(v)
-            self._msg = (np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp))
+            flat = itertools.chain.from_iterable(self.edges)
+            u, v = np.fromiter(flat, np.intp, 2 * len(self.edges)).reshape(-1, 2).T
+            nodes = np.arange(self.num_nodes, dtype=np.intp)
+            src = np.concatenate([u, v, nodes])
+            dst = np.concatenate([v, u, nodes])
+            order = np.lexsort((src, dst))
+            self._msg = (src[order], dst[order])
         return self._msg
 
     def message_segments(self):
@@ -94,12 +97,6 @@ class Graph:
             self._segs = (T.Segments.sorted_by(src, self.num_nodes),
                           T.Segments(dst, self.num_nodes))
         return self._segs
-
-    def degrees(self):
-        """Neighbour count per node, self excluded (cached; do not mutate)."""
-        if self._deg is None:
-            self._deg = np.array([len(a) for a in self.adjacency], dtype=np.intp)
-        return self._deg
 
     @property
     def node_graph(self):
@@ -123,7 +120,7 @@ class Graph:
         return f"Graph(n={self.num_nodes}, m={len(self.edges)}, target={self.target})"
 
 
-class GraphBatch:
+class GraphBatch(_MessageGraph):
     """Disjoint union of graphs, built by array concatenation.
 
     Node i of the k-th graph becomes node node_offsets[k] + i. Each
@@ -131,9 +128,8 @@ class GraphBatch:
     concatenated, so the union's index stays sorted by destination and
     its source sort needs no new argsort. node_graph maps every node to
     its graph, sorted, for the readout's segment sum; targets lists the
-    graphs' targets in order. Layers read a batch like a Graph; the
-    per-node inspection routes (neighborhood, the staged ExpC route)
-    need a Graph.
+    graphs' targets in order. Layers, neighborhood and the staged ExpC
+    route read a batch like a Graph.
     """
 
     def __init__(self, graphs):
@@ -158,15 +154,11 @@ class GraphBatch:
         order = np.concatenate([s.order + m for (s, _), m in zip(per_graph, msg_offsets)])
         self._segs = (T.Segments(src, self.num_nodes, order=order),
                       T.Segments(dst, self.num_nodes))
-        self._deg = np.concatenate([g.degrees() for g in graphs])
         self.node_graph = T.Segments(np.repeat(np.arange(self.num_graphs), sizes),
                                      self.num_graphs)
 
     def message_segments(self):
         return self._segs
-
-    def degrees(self):
-        return self._deg
 
     def __repr__(self):
         return f"GraphBatch(graphs={self.num_graphs}, n={self.num_nodes})"
@@ -193,10 +185,13 @@ class Dataset:
 
 
 def neighborhood(graph, v):
-    """Sorted list of v's neighbors including v itself."""
+    """Sorted list of v's neighbors including v itself, for a Graph or a
+    GraphBatch: v's run of the destination-sorted message index."""
     if not 0 <= v < graph.num_nodes:
         raise ValueError(f"node {v} out of range for {graph.num_nodes} nodes")
-    return sorted(graph.adjacency[v] + [v])
+    src, dst = graph.message_segments()
+    lo, hi = dst.index.searchsorted(v), dst.index.searchsorted(v, "right")
+    return src.index[lo:hi].tolist()
 
 
 def count_triangles(graph):

@@ -6,6 +6,10 @@ graph's (src, dst) message index — one entry per ordered pair
 a Graph or a GraphBatch (a disjoint union); the layers gather and scatter
 through the graph's cached Segments, so both run the same code.
 
+ExpC, ExpC-multiagg and CombC are one coefficient-convolution body,
+expc_forward; only the step combining the per-edge coefficients with the
+neighbor features (vec(m h^T) or m ⊙ h) differs between them.
+
 Two layer families implement the same mathematics by different routes and
 are used to certify each other:
 
@@ -19,7 +23,7 @@ are used to certify each other:
 """
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -30,14 +34,14 @@ __all__ = [
     "LayerSpec", "Model", "init_layer_params", "layer_forward",
     "gcn_forward", "gin0_forward", "gat_default_forward",
     "gat_expanding_forward", "expc_forward", "expc_three_stage_forward",
-    "combc_forward", "readout", "layer_param_count", "model_param_count",
+    "readout", "model_param_count",
     "expc_local_blocks", "save_model", "load_model",
 ]
 
 LAYER_KINDS = ("GCN", "GIN0", "GAT_DEFAULT", "GAT_EXPANDING", "EXPC",
                "COMBC", "EXPC_THREE_STAGE", "EXPC_MULTIAGG")
-# Kinds computed in plain numpy, per node of a single Graph: no gradient
-# flows through them, so training rejects them.
+# Kinds computed in plain numpy, per node: no gradient flows through
+# them, so training rejects them.
 INSPECTION_KINDS = ("EXPC_THREE_STAGE",)
 
 
@@ -75,13 +79,12 @@ def _uniform(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _coeff_width(spec):
-    """Effective number of coefficient rows after any appended constants."""
-    if spec.kind == "EXPC_MULTIAGG":
-        return spec.s + (1 if spec.append == "one" else 2)
-    if spec.kind == "COMBC":
-        return spec.d_in
-    return spec.s
+def _coeff_widths(spec):
+    """(coefficients the tanh generator makes per edge, MLP input width)."""
+    if spec.kind == "COMBC":  # one coefficient per feature, elementwise
+        return spec.d_in, spec.d_in
+    appended = 0 if spec.kind != "EXPC_MULTIAGG" else 1 if spec.append == "one" else 2
+    return spec.s, (spec.s + appended) * spec.d_in
 
 
 def init_layer_params(spec, rng):
@@ -105,29 +108,16 @@ def init_layer_params(spec, rng):
         for k in range(spec.heads):
             p[f"W{k}"] = T.Tensor(_uniform(rng, (d, d), d))
             p[f"a{k}"] = T.Tensor(_uniform(rng, (2 * d, 1), 2 * d))
-    elif spec.kind in ("EXPC", "EXPC_THREE_STAGE", "EXPC_MULTIAGG"):
-        p["Wc"] = T.Tensor(_uniform(rng, (spec.s, 2 * spec.d_in), 2 * spec.d_in))
-        p["bc"] = T.Tensor(np.zeros((spec.s, 1)))
-        mlp_in = _coeff_width(spec) * spec.d_in
+    else:  # the coefficient convolutions: EXPC, EXPC_THREE_STAGE, EXPC_MULTIAGG, COMBC
+        rows, mlp_in = _coeff_widths(spec)
+        p["Wc"] = T.Tensor(_uniform(rng, (rows, 2 * spec.d_in), 2 * spec.d_in))
+        p["bc"] = T.Tensor(np.zeros((rows, 1)))
         p["W1"] = T.Tensor(_uniform(rng, (spec.d_out, mlp_in), mlp_in))
         p["b1"] = T.Tensor(np.zeros((spec.d_out, 1)))
         if spec.mlp_depth == 2:
             p["W2"] = T.Tensor(_uniform(rng, (spec.d_out, spec.d_out), spec.d_out))
             p["b2"] = T.Tensor(np.zeros((spec.d_out, 1)))
-    elif spec.kind == "COMBC":
-        p["Wc"] = T.Tensor(_uniform(rng, (spec.d_in, 2 * spec.d_in), 2 * spec.d_in))
-        p["bc"] = T.Tensor(np.zeros((spec.d_in, 1)))
-        p["W1"] = T.Tensor(_uniform(rng, (spec.d_out, spec.d_in), spec.d_in))
-        p["b1"] = T.Tensor(np.zeros((spec.d_out, 1)))
-        if spec.mlp_depth == 2:
-            p["W2"] = T.Tensor(_uniform(rng, (spec.d_out, spec.d_out), spec.d_out))
-            p["b2"] = T.Tensor(np.zeros((spec.d_out, 1)))
     return p
-
-
-def layer_param_count(spec):
-    rng = np.random.default_rng(0)
-    return sum(t.data.size for t in init_layer_params(spec, rng).values())
 
 
 def _mlp(params, x, depth):
@@ -206,57 +196,36 @@ def gat_expanding_forward(params, graph, H, heads):
     return T.activation(T.scale(T.matmul(agg, w_cat_t), 1.0 / heads), "relu")
 
 
-def _edge_coefficients(params, Hd, Hs, bypass, inv_count):
-    if bypass is None:
-        pair = T.concat([Hd, Hs], axis=1)
-        pre = T.add_bias(T.matmul(pair, T.transpose(params["Wc"])), T.transpose(params["bc"]))
-        return T.activation(pre, "tanh")
-    # fixed non-trainable coefficients; test plumbing for degenerate reductions
-    k = Hd.data.shape[0]
-    s = params["Wc"].data.shape[0]
-    if bypass == "ones":
-        return T.Tensor(np.ones((k, s)))
-    if bypass == "zeros":
-        return T.Tensor(np.zeros((k, s)))
-    if bypass == "inv_deg":
-        return T.Tensor(np.tile(inv_count[:, None], (1, s)))
-    raise ValueError(f"unknown bypass {bypass!r}")
-
-
 def expc_forward(params, graph, H, spec, bypass=None):
-    """Expanding convolution: per-edge coefficient vectors m_uv expand the
-    neighbor features as vec(m_uv h_u^T) before aggregation.
+    """Coefficient convolution: per-edge coefficient vectors m_uv weight
+    the neighbor features before aggregation, as vec(m_uv h_u^T) for EXPC
+    and EXPC_MULTIAGG (m_uv with constant rows appended) or m_uv ⊙ h_u
+    for COMBC.
 
     re_sum=True applies the MLP per neighbor and sums the results (the
-    nonlinearity acts ahead of the sum); re_sum=False sums the expansions
+    nonlinearity acts ahead of the sum); re_sum=False sums the messages
     first and applies the MLP once. When all messages into a node are
     equal (constant node features, say), re_sum=True reduces to |N(v)|
     times one MLP value. bypass substitutes fixed coefficients ("ones" or
-    "inv_deg") for the tanh generator — test plumbing only.
+    "zeros") for the tanh generator — test plumbing only.
     """
     src, dst = graph.message_segments()
     Hd, Hs = T.gather_rows(H, dst), T.gather_rows(H, src)
-    inv_count = 1.0 / (graph.degrees() + 1.0)[dst.index]
-    C = _edge_coefficients(params, Hd, Hs, bypass, inv_count)
+    if bypass is None:
+        # one expression: a forward without a tape frees its temporaries here, not at return
+        C = T.activation(T.add_bias(
+            T.matmul(T.concat([Hd, Hs], axis=1), T.transpose(params["Wc"])),
+            T.transpose(params["bc"])), "tanh")
+    elif bypass in ("ones", "zeros"):
+        C = T.Tensor(np.full((len(dst.index), len(params["bc"].data)), float(bypass == "ones")))
+    else:
+        raise ValueError(f"unknown bypass {bypass!r}")
     if spec.kind == "EXPC_MULTIAGG":
-        k = C.data.shape[0]
-        extra = [T.Tensor(np.ones((k, 1)))]
+        extra = [T.Tensor(np.ones((len(dst.index), 1)))]
         if spec.append == "one_and_invdeg":
-            extra.append(T.Tensor(inv_count[:, None]))
+            extra.append(T.Tensor(1.0 / (graph.degrees() + 1.0)[dst.index, None]))
         C = T.concat([C] + extra, axis=1)
-    expanded = T.expand_outer(C, Hs)
-    if spec.re_sum:
-        return T.scatter_add_rows(_mlp(params, expanded, spec.mlp_depth), dst)
-    return _mlp(params, T.scatter_add_rows(expanded, dst), spec.mlp_depth)
-
-
-def combc_forward(params, graph, H, spec, bypass=None):
-    """Elementwise-coefficient convolution: m_uv ⊙ h_u per edge, with the
-    same re_sum semantics as expc_forward."""
-    src, dst = graph.message_segments()
-    Hd, Hs = T.gather_rows(H, dst), T.gather_rows(H, src)
-    C = _edge_coefficients(params, Hd, Hs, bypass, 1.0 / (graph.degrees() + 1.0)[dst.index])
-    msgs = T.elementwise_mul(C, Hs)
+    msgs = T.elementwise_mul(C, Hs) if spec.kind == "COMBC" else T.expand_outer(C, Hs)
     if spec.re_sum:
         return T.scatter_add_rows(_mlp(params, msgs, spec.mlp_depth), dst)
     return _mlp(params, T.scatter_add_rows(msgs, dst), spec.mlp_depth)
@@ -324,10 +293,8 @@ def layer_forward(spec, params, graph, H, bypass=None):
         return gat_default_forward(params, graph, H, spec.heads)
     if spec.kind == "GAT_EXPANDING":
         return gat_expanding_forward(params, graph, H, spec.heads)
-    if spec.kind in ("EXPC", "EXPC_MULTIAGG"):
+    if spec.kind in ("EXPC", "EXPC_MULTIAGG", "COMBC"):
         return expc_forward(params, graph, H, spec, bypass=bypass)
-    if spec.kind == "COMBC":
-        return combc_forward(params, graph, H, spec, bypass=bypass)
     if spec.kind == "EXPC_THREE_STAGE":
         out, _ = expc_three_stage_forward(params, graph, H, spec)
         return T.Tensor(out)  # inspection route: no gradients through it
@@ -387,7 +354,6 @@ class Model:
         forwards build constants and record nothing."""
         for t in self.params():
             t.tape = None
-            t.node_id = None
 
     def zero_grad(self):
         for t in self.params():
@@ -428,12 +394,33 @@ def save_model(model, path):
         fh.write(blob)
 
 
+def _check_manifest(manifest):
+    """ValueError naming the first manifest field load_model cannot use."""
+    missing = [k for k in ("seed", "head_dim", "readout_mode", "layers", "params",
+                           "dtype", "order") if k not in manifest]
+    if missing:
+        raise ValueError(f"checkpoint manifest lacks field {missing[0]!r}")
+    for key, written in (("dtype", "<f8"), ("order", "C")):
+        if manifest[key] != written:
+            raise ValueError(f"checkpoint manifest field {key!r} is {manifest[key]!r}; "
+                             f"save_model writes {written!r}, the only layout read")
+    names = [f.name for f in fields(LayerSpec)]
+    required = [f.name for f in fields(LayerSpec) if f.default is MISSING]
+    for i, sp in enumerate(manifest["layers"]):
+        bad = [f"unknown field {k!r}" for k in sp if k not in names]
+        bad += [f"no field {k!r}" for k in required if k not in sp]
+        if bad:
+            raise ValueError(f"checkpoint layer {i} spec has {bad[0]}")
+
+
 def load_model(path):
-    """Rebuild a save_model checkpoint. The manifest's parameter list must
-    name every parameter of the model its layer specs build, once, with
-    the shape the specs give it."""
+    """Rebuild a save_model checkpoint. The manifest must carry every field
+    save_model writes, with its little-endian float64, row-major blob
+    layout, and its parameter list must name every parameter of the model
+    its layer specs build, once, with the shape the specs give it."""
     with open(f"{path}.json") as fh:
         manifest = json.load(fh)
+    _check_manifest(manifest)
     specs = [LayerSpec(**sp) for sp in manifest["layers"]]
     model = Model(specs, seed=manifest["seed"], head_dim=manifest["head_dim"],
                   readout_mode=manifest["readout_mode"])

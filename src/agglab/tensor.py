@@ -29,13 +29,12 @@ __all__ = [
 class Tensor:
     """A dense float64 array, optionally attached to an autodiff tape."""
 
-    __slots__ = ("data", "grad", "tape", "node_id")
+    __slots__ = ("data", "grad", "tape")
 
     def __init__(self, data, tape=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.tape = tape
-        self.node_id = tape._register() if tape is not None else None
 
     @property
     def shape(self):
@@ -58,12 +57,6 @@ class Tape:
 
     def __init__(self):
         self._ops = []      # (out Tensor, [(in Tensor, vjp), ...]) in execution order
-        self._num_nodes = 0
-
-    def _register(self):
-        nid = self._num_nodes
-        self._num_nodes += 1
-        return nid
 
     def param(self, data):
         """Create a trainable tensor on this tape."""
@@ -78,7 +71,6 @@ class Tape:
         expression that reads them is recorded onto this tape.
         """
         tensor.tape = self
-        tensor.node_id = self._register()
         return tensor
 
     def record(self, out, pairs):

@@ -167,12 +167,17 @@ def train(specs, dataset, config, head_dim=1):
     Each batch of batch_size graphs runs as message_groups, one tape per
     group; the summed gradients, divided by the batch size, make one Adam
     step. The returned model carries the best-validation-epoch parameters
-    (final parameters when there is no validation split).
+    (final parameters when there is no validation split). Every graph of
+    every split needs a target.
     """
     t0 = time.perf_counter()
     for spec in specs:
         if spec.kind in INSPECTION_KINDS:
             raise ValueError(f"layer kind {spec.kind} has no autodiff and cannot be trained")
+    for split in ("train", "valid", "test"):
+        for i in dataset.split[split]:
+            if dataset.graphs[i].target is None:
+                raise ValueError(f"{split} split: graph {i} has no target")
     train_graphs = dataset.subset("train")
     if not train_graphs:
         raise ValueError("empty train split")

@@ -6,6 +6,7 @@ witness is None on success; on failure it carries the counterexample.
 Suites are deterministic under the given seed.
 """
 
+import inspect
 import itertools
 
 import numpy as np
@@ -406,18 +407,24 @@ SUITES = {
 
 def run_suite(name, trials=None, seed=0, **params):
     """Run one named suite (or 'all'); returns a list of result dicts.
-    params go to the suite (prop4 takes heads and widths). trials and every
+    params go to the suite (prop4 takes heads and widths); a parameter the
+    suite does not take is an error, also for 'all'. trials and every
     params value must be at least 1, so that no run passes checking nothing."""
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from "
+                         f"{sorted(SUITES) + ['all']}")
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    for flag in params:
+        takers = [n for n, suite in SUITES.items() if flag in inspect.signature(suite).parameters]
+        if name not in takers:
+            raise ValueError(f"suite {name!r} takes no parameter {flag!r}; "
+                             f"suites that take it: {takers or 'none'}")
     for flag, values in params.items():
         if not values or min(values) < 1:
             raise ValueError(f"{flag} must be at least 1, got {list(values)}")
     if name == "all":
-        return [run_suite(n, trials=trials, seed=seed, **params)[0] for n in SUITES]
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from "
-                         f"{sorted(SUITES) + ['all']}")
+        return [run_suite(n, trials=trials, seed=seed)[0] for n in SUITES]
     if trials is not None:
         params["trials"] = trials
     return [SUITES[name](seed=seed, **params)]

@@ -119,6 +119,26 @@ def test_graph_batch_offsets_and_concatenates():
     assert np.array_equal(by_src.order, np.argsort(src, kind="stable"))
 
 
+def test_neighborhood_and_staged_route_on_a_batch_equal_the_per_graph_results():
+    rng = np.random.default_rng(8)
+    graphs = [random_graph(rng, n, 0.5, 2, 0.0) for n in (3, 1, 6, 4, 5)]
+    batch = G.GraphBatch(graphs)
+    spec = L.LayerSpec("EXPC_THREE_STAGE", 2, 3, s=2)
+    params = L.init_layer_params(spec, rng)
+    got, report = L.expc_three_stage_forward(params, batch, T.Tensor(batch.node_features), spec)
+    rows = []
+    for g, off in zip(graphs, batch.node_offsets.tolist()):
+        out, want = L.expc_three_stage_forward(params, g, T.Tensor(g.node_features), spec)
+        rows.append(out)
+        for v in range(g.num_nodes):
+            assert G.neighborhood(batch, off + v) == [off + u for u in G.neighborhood(g, v)]
+            assert np.array_equal(report["coeff"][off + v], want["coeff"][v])
+            for i in range(spec.d_out):
+                assert report["active"][(off + v, i)] == tuple(off + u
+                                                               for u in want["active"][(v, i)])
+    assert np.array_equal(got, np.vstack(rows))
+
+
 def test_graph_batch_rejects_empty_and_mixed_widths():
     with pytest.raises(ValueError, match="at least one graph"):
         G.GraphBatch([])

@@ -209,3 +209,40 @@ def test_analyze_rank_skips_layers_it_cannot_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "layer 0 (EXPC_MULTIAGG): skipped" in out
     assert "layer 1 (EXPC, s=2)" in out and "layer 0 (EXPC_MULTIAGG, s=" not in out
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda m: m.update(order="F"), "'order'"),
+    (lambda m: m.update(dtype=">f4"), "'dtype'"),
+    (lambda m: m.pop("seed"), "'seed'"),
+    (lambda m: m["layers"][0].update(width=3), "'width'"),
+    (lambda m: m["layers"][0].pop("d_out"), "'d_out'"),
+])
+def test_a_manifest_load_model_cannot_use_is_rejected(edit, field, tmp_path, capsys):
+    from agglab import layers as L
+    ckpt = tmp_path / "ckpt"
+    L.save_model(L.Model([L.LayerSpec("EXPC", 1, 3, s=2)]), ckpt)
+    manifest = json.loads((tmp_path / "ckpt.json").read_text())
+    edit(manifest)
+    (tmp_path / "ckpt.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=field):
+        L.load_model(ckpt)
+    assert run(["analyze-rank", "--checkpoint", str(ckpt), "--count", "5"]) == 1
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("loss", ["MAE", "cross_entropy"])
+def test_train_rejects_an_unlabeled_graph_before_any_step(loss, tmp_path, capsys):
+    data = tmp_path / "d.jsonl"
+    assert run(["gen-data", "--count", "10", "--nodes", "5", "--out", str(data)]) == 0
+    lines = data.read_text().splitlines()
+    record = json.loads(lines[8])
+    record["target"] = None
+    lines[8] = json.dumps(record)
+    data.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["train", "--data", str(data), "--epochs", "1", "--loss", loss]) == 1
+    err = capsys.readouterr().err
+    assert "valid split: graph 8 has no target" in err
+    assert "non-finite" not in err and "Traceback" not in err

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from agglab import graphs as G
 
@@ -32,7 +32,7 @@ def test_neighborhood_size_is_degree_plus_one():
     ds = G.gen_er_triangle_dataset(5, n_nodes=8, p=0.4, seed=2)
     for g in ds.graphs:
         for v in range(g.num_nodes):
-            assert len(G.neighborhood(g, v)) == len(g.adjacency[v]) + 1
+            assert len(G.neighborhood(g, v)) == sum(v in e for e in g.edges) + 1
             assert v in G.neighborhood(g, v)
 
 
@@ -201,9 +201,48 @@ def test_message_index_canonical_order():
     assert src.tolist() == [0, 1, 0, 1, 2, 1, 2]
 
 
+def adjacency_sets(graph):
+    adj = [set() for _ in range(graph.num_nodes)]
+    for u, v in graph.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+@st.composite
+def edge_lists(draw):
+    """A node count and an edge list with repeated and reversed pairs."""
+    n = draw(st.integers(0, 12))
+    if n < 2:
+        return n, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return n, draw(st.lists(pair, max_size=40))
+
+
+@given(edge_lists())
+@example((0, []))
+@example((4, [(2, 0), (0, 2), (0, 2), (1, 0)]))  # node 3 isolated
+@settings(max_examples=200, deadline=None)
+def test_message_index_matches_the_per_node_loop(case):
+    """The lexsorted index against the loop it replaced: each node's
+    sorted neighbourhood, self included, in node order."""
+    n, edges = case
+    g = G.Graph(n, edges, np.ones((n, 1)))
+    adj = adjacency_sets(g)
+    src, dst = g.message_index()
+    want_src = [u for v in range(n) for u in sorted(adj[v] | {v})]
+    want_dst = [v for v in range(n) for _ in range(len(adj[v]) + 1)]
+    assert src.dtype == dst.dtype == g.degrees().dtype == np.intp
+    assert src.tolist() == want_src and dst.tolist() == want_dst
+    assert g.degrees().tolist() == [len(a) for a in adj]
+    for v in range(n):
+        got = G.neighborhood(g, v)
+        assert got == sorted(adj[v] | {v}) and all(type(u) is int for u in got)
+
+
 def brute_force_triangles(graph):
     """The oracle count_triangles replaced: enumerate every node triple."""
-    adj = [set(a) for a in graph.adjacency]
+    adj = adjacency_sets(graph)
     return sum(1 for i, j, k in itertools.combinations(range(graph.num_nodes), 3)
                if j in adj[i] and k in adj[i] and k in adj[j])
 

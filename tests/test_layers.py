@@ -266,7 +266,7 @@ def test_combc_bypass_ones_identity_mlp_is_sum():
     params = L.init_layer_params(spec, np.random.default_rng(13))
     params["W1"].data = np.eye(3)
     params["b1"].data = np.full((3, 1), 10.0)
-    out = L.combc_forward(params, g, T.Tensor(g.node_features), spec, bypass="ones")
+    out = L.expc_forward(params, g, T.Tensor(g.node_features), spec, bypass="ones")
     src, dst = g.message_index()
     sums = np.zeros((6, 3))
     np.add.at(sums, dst, g.node_features[src])
@@ -286,9 +286,65 @@ def test_combc_coincides_with_expc_at_width_one():
     for name in pe:
         pe[name].data = pc[name].data.copy()
     H = T.Tensor(g.node_features)
-    out_c = L.combc_forward(pc, g, H, spec_c)
+    out_c = L.expc_forward(pc, g, H, spec_c)
     out_e = L.expc_forward(pe, g, H, spec_e)
     assert np.max(np.abs(out_c.data - out_e.data)) < 1e-12
+
+
+def _combc_init_before_merge(spec, rng):
+    """COMBC's own init branch from before the coefficient convolutions
+    shared one body: the oracle the merged branch must reproduce."""
+    u = L._uniform
+    p = {"Wc": T.Tensor(u(rng, (spec.d_in, 2 * spec.d_in), 2 * spec.d_in)),
+         "bc": T.Tensor(np.zeros((spec.d_in, 1))),
+         "W1": T.Tensor(u(rng, (spec.d_out, spec.d_in), spec.d_in)),
+         "b1": T.Tensor(np.zeros((spec.d_out, 1)))}
+    if spec.mlp_depth == 2:
+        p["W2"] = T.Tensor(u(rng, (spec.d_out, spec.d_out), spec.d_out))
+        p["b2"] = T.Tensor(np.zeros((spec.d_out, 1)))
+    return p
+
+
+def _combc_forward_before_merge(params, graph, H, spec, bypass=None):
+    """COMBC's own forward from before the merge, op for op."""
+    src, dst = graph.message_segments()
+    Hd, Hs = T.gather_rows(H, dst), T.gather_rows(H, src)
+    if bypass is None:
+        pair = T.concat([Hd, Hs], axis=1)
+        pre = T.add_bias(T.matmul(pair, T.transpose(params["Wc"])), T.transpose(params["bc"]))
+        C = T.activation(pre, "tanh")
+    else:
+        shape = (Hd.data.shape[0], params["Wc"].data.shape[0])
+        C = T.Tensor(np.ones(shape) if bypass == "ones" else np.zeros(shape))
+    msgs = T.elementwise_mul(C, Hs)
+    if spec.re_sum:
+        return T.scatter_add_rows(L._mlp(params, msgs, spec.mlp_depth), dst)
+    return L._mlp(params, T.scatter_add_rows(msgs, dst), spec.mlp_depth)
+
+
+@pytest.mark.parametrize("re_sum", [True, False])
+@pytest.mark.parametrize("mlp_depth", [1, 2])
+@pytest.mark.parametrize("bypass", [None, "ones", "zeros"])
+def test_combc_merged_body_is_bitwise_the_old_route(re_sum, mlp_depth, bypass):
+    for seed in range(5):
+        g = er_graph(40 + seed, n=7, d=3)
+        spec = L.LayerSpec("COMBC", 3, 4, re_sum=re_sum, mlp_depth=mlp_depth)
+        runs = []
+        for init, forward in ((L.init_layer_params, L.expc_forward),
+                              (_combc_init_before_merge, _combc_forward_before_merge)):
+            params = init(spec, np.random.default_rng(seed))
+            tape = T.Tape()
+            H = tape.param(g.node_features)
+            for t in params.values():
+                tape.watch(t)
+            out = forward(params, g, H, spec, bypass=bypass)
+            tape.backward(T.sum_all(T.elementwise_mul(out, out)))
+            runs.append([out.data, H.grad] + [a for name in sorted(params)
+                                              for a in (params[name].data, params[name].grad)])
+        new, old = runs
+        assert len(new) == len(old)
+        for a, b in zip(new, old):
+            assert (a is None and b is None) or np.array_equal(a, b)
 
 
 def test_multiagg_zero_bypass_recovers_sum_and_mean_channels():

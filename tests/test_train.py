@@ -216,7 +216,7 @@ def test_evaluate_after_train_records_nothing(monkeypatch):
     maes = [TR.evaluate(model, ds.graphs) for _ in range(3)]
     assert recorded == []
     assert maes[0] == maes[1] == maes[2]
-    assert all(p.tape is None and p.node_id is None for p in model.params())
+    assert all(p.tape is None for p in model.params())
 
 
 def test_train_rejects_kinds_without_autodiff(monkeypatch):

@@ -41,3 +41,13 @@ def test_prop4_records_every_configuration():
 def test_run_suite_rejects_runs_that_check_nothing(kwargs, flag):
     with pytest.raises(ValueError, match=flag):
         V.run_suite(**kwargs)
+
+
+@pytest.mark.parametrize("name, flag, message", [
+    ("all", "heads", r"'all' takes no parameter 'heads'.*\['prop4'\]"),
+    ("lemma1", "widths", r"'lemma1' takes no parameter 'widths'.*\['prop4'\]"),
+    ("prop4", "sizes", r"'prop4' takes no parameter 'sizes'.*none"),
+])
+def test_run_suite_rejects_parameters_the_suite_does_not_take(name, flag, message):
+    with pytest.raises(ValueError, match=message):
+        V.run_suite(name, trials=1, **{flag: [1]})
