@@ -20,7 +20,7 @@ __all__ = [
     "combined", "compose", "premap", "numerical_rank", "output_distance",
     "strictly_stronger_by_stack", "is_injective_for_size",
     "ranges_disjoint_certificate", "enumerate_multisets", "collision_oracle",
-    "compare_strength", "check_equivariance", "rank_preservation_report",
+    "compare_strength", "rank_preservation_report",
     "multiset_distance_under", "kernel_collision", "cross_kernel_collision",
     "separation_set",
 ]
@@ -334,18 +334,6 @@ def compare_strength(agg1, agg2, grid, max_size=3, width=1, tol=COLLISION_TOL):
     else:
         verdict = "equal"
     return {"verdict": verdict, "only_first": only_first, "only_second": only_second}
-
-
-def check_equivariance(agg, T, x, tol=COLLISION_TOL):
-    """True iff agg({{T x_i}}) equals T agg({{x_i}}) within tol."""
-    T = np.asarray(T, dtype=np.float64)
-    if not isinstance(x, MultisetSample):
-        x = MultisetSample(x)
-    if T.shape[1] != x.width:
-        raise ValueError(f"T has {T.shape[1]} columns but elements have width {x.width}")
-    lhs = agg(x.elements @ T.T)
-    rhs = T @ agg(x)
-    return output_distance(lhs, rhs) < tol
 
 
 def rank_preservation_report(M, H):

@@ -11,6 +11,8 @@ degrees and neighborhoods are read off it.
 
 import itertools
 import json
+import math
+import numbers
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from . import tensor as T
 __all__ = [
     "Graph", "GraphBatch", "Dataset", "GraphFileError", "neighborhood", "count_triangles",
     "relabel", "are_isomorphic", "gen_er_triangle_dataset", "random_featured_graph",
-    "gen_regular_pair", "load_graphs", "save_graphs", "split_path",
+    "gen_regular_pair", "load_graphs", "save_graphs", "split_path", "is_finite_number",
 ]
 
 
@@ -47,6 +49,8 @@ class Graph(_MessageGraph):
     and kept in sorted order, so two equal graphs compare equal
     structurally. Instances are immutable by convention.
     """
+
+    num_graphs = 1
 
     def __init__(self, num_nodes, edges, node_features, target=None):
         self.num_nodes = int(num_nodes)
@@ -94,7 +98,7 @@ class Graph(_MessageGraph):
         is sorted already, by_src carries one stable sort by source."""
         if self._segs is None:
             src, dst = self.message_index()
-            self._segs = (T.Segments.sorted_by(src, self.num_nodes),
+            self._segs = (T.Segments(src, self.num_nodes, order=np.argsort(src, kind="stable")),
                           T.Segments(dst, self.num_nodes))
         return self._segs
 
@@ -292,6 +296,17 @@ def gen_regular_pair():
     return k33, prism
 
 
+def is_finite_number(value):
+    """True for a finite int or float. A bool, a string, a list, NaN and
+    the infinities are not numbers a graph's target can hold."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def split_path(path):
     """Sidecar location for a dataset's split file."""
     return str(path) + ".split.json"
@@ -329,6 +344,8 @@ def load_graphs(path):
                           target=rec.get("target"))
             except (KeyError, ValueError, TypeError) as exc:
                 raise GraphFileError(f"line {lineno}: {exc}") from exc
+            if g.target is not None and not is_finite_number(g.target):
+                raise GraphFileError(f"line {lineno}: target {g.target!r} is not a finite number")
             graphs.append(g)
     try:
         with open(split_path(path)) as fh:

@@ -124,11 +124,11 @@ def _mlp(params, x, depth):
     """Row-major MLP with equation-shaped weights: depth 1 is affine+ReLU
     (the form the dimension-wise rearrangement analyses), depth 2 is
     linear-ReLU-linear."""
-    h = T.add_bias(T.matmul(x, T.transpose(params["W1"])), T.transpose(params["b1"]))
+    h = T.add(T.matmul(x, T.transpose(params["W1"])), T.transpose(params["b1"]))
     h = T.activation(h, "relu")
     if depth == 1:
         return h
-    return T.add_bias(T.matmul(h, T.transpose(params["W2"])), T.transpose(params["b2"]))
+    return T.add(T.matmul(h, T.transpose(params["W2"])), T.transpose(params["b2"]))
 
 
 def gcn_forward(params, graph, H):
@@ -136,9 +136,9 @@ def gcn_forward(params, graph, H):
     src, dst = graph.message_segments()
     dhat = graph.degrees() + 1.0
     coeff = 1.0 / np.sqrt(dhat[src.index] * dhat[dst.index])
-    msgs = T.row_scale(T.gather_rows(H, src), coeff)
+    msgs = T.elementwise_mul(T.gather_rows(H, src), T.Tensor(coeff[:, None]))
     agg = T.scatter_add_rows(msgs, dst)
-    return T.activation(T.add_bias(T.matmul(agg, params["W"]), params["b"]), "relu")
+    return T.activation(T.add(T.matmul(agg, params["W"]), params["b"]), "relu")
 
 
 def gin0_forward(params, graph, H):
@@ -161,7 +161,7 @@ def gat_default_forward(params, graph, H, heads):
         pair = T.concat([T.gather_rows(HW, dst), T.gather_rows(HW, src)], axis=1)
         logits = T.activation(T.matmul(pair, params[f"a{k}"]), "leakyrelu", alpha=0.2)
         alpha = T.segment_softmax(logits, dst)
-        head_out = T.scatter_add_rows(T.colvec_mul(T.gather_rows(HW, src), alpha), dst)
+        head_out = T.scatter_add_rows(T.elementwise_mul(T.gather_rows(HW, src), alpha), dst)
         total = head_out if total is None else T.add(total, head_out)
     return T.activation(T.scale(total, 1.0 / heads), "relu")
 
@@ -191,7 +191,7 @@ def gat_expanding_forward(params, graph, H, heads):
     # W_cat column j*K+k must be column j of W_k: interleave the stacked
     # transposed head weights from k-major to j-major row order.
     stacked = T.concat([T.transpose(params[f"W{k}"]) for k in range(heads)], axis=0)
-    perm = np.array([k * d + j for j in range(d) for k in range(heads)])
+    perm = T.Segments([k * d + j for j in range(d) for k in range(heads)], heads * d)
     w_cat_t = T.gather_rows(stacked, perm)                     # (K*d, d)
     return T.activation(T.scale(T.matmul(agg, w_cat_t), 1.0 / heads), "relu")
 
@@ -213,7 +213,7 @@ def expc_forward(params, graph, H, spec, bypass=None):
     Hd, Hs = T.gather_rows(H, dst), T.gather_rows(H, src)
     if bypass is None:
         # one expression: a forward without a tape frees its temporaries here, not at return
-        C = T.activation(T.add_bias(
+        C = T.activation(T.add(
             T.matmul(T.concat([Hd, Hs], axis=1), T.transpose(params["Wc"])),
             T.transpose(params["bc"])), "tanh")
     elif bypass in ("ones", "zeros"):
@@ -283,7 +283,7 @@ def expc_local_blocks(params, graph, H):
     return blocks
 
 
-def layer_forward(spec, params, graph, H, bypass=None):
+def layer_forward(spec, params, graph, H):
     """Dispatch a layer forward pass; returns a Tensor of node features."""
     if spec.kind == "GCN":
         return gcn_forward(params, graph, H)
@@ -294,7 +294,7 @@ def layer_forward(spec, params, graph, H, bypass=None):
     if spec.kind == "GAT_EXPANDING":
         return gat_expanding_forward(params, graph, H, spec.heads)
     if spec.kind in ("EXPC", "EXPC_MULTIAGG", "COMBC"):
-        return expc_forward(params, graph, H, spec, bypass=bypass)
+        return expc_forward(params, graph, H, spec)
     if spec.kind == "EXPC_THREE_STAGE":
         out, _ = expc_three_stage_forward(params, graph, H, spec)
         return T.Tensor(out)  # inspection route: no gradients through it
@@ -316,7 +316,7 @@ def readout(H_list, mode="SUM", segments=None):
     if mode == "SUM":
         return pooled
     sizes = np.bincount(segments.index, minlength=segments.num_segments)
-    return T.row_scale(pooled, 1.0 / np.maximum(sizes, 1))
+    return T.elementwise_mul(pooled, T.Tensor((1.0 / np.maximum(sizes, 1))[:, None]))
 
 
 class Model:
@@ -368,7 +368,7 @@ class Model:
             H = layer_forward(spec, params, graph, H)
             outputs.append(H)
         pooled = readout(outputs, self.readout_mode, graph.node_graph)
-        return T.add_bias(T.matmul(pooled, self.head_W), self.head_b)
+        return T.add(T.matmul(pooled, self.head_W), self.head_b)
 
 
 def model_param_count(model):

@@ -8,11 +8,17 @@ the .grad buffers of the tensors that participated.
 Tensors created without a tape are constants: they can appear in any
 expression but never receive gradients.
 
+The elementwise binary ops (add, sub, elementwise_mul) share one
+broadcasting rule: both operands have the same ndim, and an operand may
+have length 1 on an axis that the other spans. Their VJPs return the
+gradient at the broadcast shape, and backward() sums it back over the
+axes the operand was broadcast along, with keepdims.
+
 Row reductions over a segment index (scatter, segment softmax, the
-backward of a gather) go through Segments, which sums each segment with
-one np.add.reduceat over CSR start offsets when the index is sorted, or
-carries a sort, and leaves no segment empty. Any other index falls back
-to np.add.at.
+backward of a gather) go through Segments, which takes the rows in the
+index's stable sorted order and sums the non-empty segments with one
+np.add.reduceat over their CSR start offsets; an empty segment gets the
+identity.
 """
 
 import numpy as np
@@ -20,9 +26,9 @@ import numpy as np
 __all__ = [
     "Tape", "Tensor", "Segments", "add", "sub", "scale", "elementwise_mul", "matmul",
     "activation", "softmax_rows", "vec_stack", "vec_unstack",
-    "concat", "add_bias", "sum_all", "abs_", "log",
+    "concat", "sum_all", "abs_", "log",
     "gather_rows", "scatter_add_rows", "segment_softmax", "expand_outer",
-    "transpose", "slice_rows", "row_scale", "colvec_mul", "finite_diff_check",
+    "transpose", "slice_rows", "finite_diff_check",
 ]
 
 
@@ -97,26 +103,26 @@ class Tape:
                 continue
             for tensor, vjp in pairs:
                 contrib = vjp(g)
+                shape, broadcast = tensor.data.shape, contrib.shape
+                if broadcast != shape:  # tensor was broadcast: sum over those axes
+                    axes = tuple([i for i, n in enumerate(shape) if n != broadcast[i]])
+                    contrib = contrib.sum(axis=axes, keepdims=True)
                 if tensor.grad is None:
                     tensor.grad = np.array(contrib)  # copy: vjp may return a view
                 else:
                     tensor.grad += contrib
 
 
-def _result_tape(tensors):
+def _make(data, pairs):
+    """Build the result tensor from its (input, vjp) pairs, one per input;
+    record it if any input is on a tape."""
     tape = None
-    for t in tensors:
+    for t, _ in pairs:
         if t.tape is not None:
             if tape is None:
                 tape = t.tape
             elif tape is not t.tape:
                 raise ValueError("operands belong to different tapes")
-    return tape
-
-
-def _make(data, inputs, pairs):
-    """Build the result tensor; record it if any input is on a tape."""
-    tape = _result_tape(inputs)
     out = Tensor(data, tape=tape)
     if tape is not None:
         tape.record(out, [(t, vjp) for t, vjp in pairs if t.tape is not None])
@@ -127,33 +133,39 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _elementwise(name, op, a, b, vjp_a, vjp_b):
+    """op(a, b) under the broadcasting rule."""
+    try:
+        y = op(a.data, b.data) if a.data.ndim == b.data.ndim else None
+    except ValueError:  # lengths that differ and are not 1
+        y = None
+    if y is None:
+        raise ValueError(f"{name}: shape mismatch {a.data.shape} vs {b.data.shape}")
+    return _make(y, [(a, vjp_a), (b, vjp_b)])
+
+
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"add: shape mismatch {a.data.shape} vs {b.data.shape}")
-    return _make(a.data + b.data, (a, b), [(a, lambda g: g), (b, lambda g: g)])
+    return _elementwise("add", np.add, a, b, lambda g: g, lambda g: g)
 
 
 def sub(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"sub: shape mismatch {a.data.shape} vs {b.data.shape}")
-    return _make(a.data - b.data, (a, b), [(a, lambda g: g), (b, lambda g: -g)])
+    return _elementwise("sub", np.subtract, a, b, lambda g: g, lambda g: -g)
 
 
 def scale(a, c):
     """Multiply by a python float constant."""
     a = _as_tensor(a)
     c = float(c)
-    return _make(a.data * c, (a,), [(a, lambda g: g * c)])
+    return _make(a.data * c, [(a, lambda g: g * c)])
 
 
 def elementwise_mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"elementwise_mul: shape mismatch {a.data.shape} vs {b.data.shape}")
     ad, bd = a.data, b.data
-    return _make(ad * bd, (a, b), [(a, lambda g: g * bd), (b, lambda g: g * ad)])
+    return _elementwise("elementwise_mul", np.multiply, a, b,
+                        lambda g: g * bd, lambda g: g * ad)
 
 
 def matmul(a, b):
@@ -162,8 +174,7 @@ def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul: shape mismatch {a.data.shape} vs {b.data.shape}")
     ad, bd = a.data, b.data
-    return _make(ad @ bd, (a, b),
-                 [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)])
+    return _make(ad @ bd, [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)])
 
 
 _ACTIVATIONS = ("tanh", "relu", "leakyrelu", "sigmoid")
@@ -179,16 +190,16 @@ def activation(x, kind, alpha=0.2):
     xd = x.data
     if kind == "tanh":
         y = np.tanh(xd)
-        return _make(y, (x,), [(x, lambda g: g * (1.0 - y * y))])
+        return _make(y, [(x, lambda g: g * (1.0 - y * y))])
     if kind == "relu":
         mask = (xd > 0).astype(np.float64)
-        return _make(xd * mask, (x,), [(x, lambda g: g * mask)])
+        return _make(xd * mask, [(x, lambda g: g * mask)])
     if kind == "leakyrelu":
         slope = np.where(xd > 0, 1.0, alpha)
-        return _make(xd * slope, (x,), [(x, lambda g: g * slope)])
+        return _make(xd * slope, [(x, lambda g: g * slope)])
     if kind == "sigmoid":
         y = 1.0 / (1.0 + np.exp(-np.clip(xd, -500, 500)))
-        return _make(y, (x,), [(x, lambda g: g * y * (1.0 - y))])
+        return _make(y, [(x, lambda g: g * y * (1.0 - y))])
     raise ValueError(f"unknown activation kind {kind!r}, expected one of {_ACTIVATIONS}")
 
 
@@ -205,7 +216,7 @@ def softmax_rows(x):
         dot = (g * y).sum(axis=1, keepdims=True)
         return y * (g - dot)
 
-    return _make(y, (x,), [(x, vjp)])
+    return _make(y, [(x, vjp)])
 
 
 def vec_stack(x):
@@ -219,7 +230,7 @@ def vec_stack(x):
         raise ValueError(f"vec_stack: need 2-D input, got shape {x.data.shape}")
     s, d = x.data.shape
     y = x.data.reshape(s * d, 1, order="F")
-    return _make(y, (x,), [(x, lambda g: g.reshape(s, d, order="F"))])
+    return _make(y, [(x, lambda g: g.reshape(s, d, order="F"))])
 
 
 def vec_unstack(v, rows, cols):
@@ -228,7 +239,7 @@ def vec_unstack(v, rows, cols):
     if v.data.size != rows * cols:
         raise ValueError(f"vec_unstack: size {v.data.size} != {rows}x{cols}")
     y = v.data.reshape(rows, cols, order="F")
-    return _make(y, (v,), [(v, lambda g: g.reshape(rows * cols, 1, order="F"))])
+    return _make(y, [(v, lambda g: g.reshape(rows * cols, 1, order="F"))])
 
 
 def concat(tensors, axis=0):
@@ -245,16 +256,7 @@ def concat(tensors, axis=0):
             pairs.append((t, lambda g, lo=lo, hi=hi: g[lo:hi]))
         else:
             pairs.append((t, lambda g, lo=lo, hi=hi: g[:, lo:hi]))
-    return _make(data, tensors, pairs)
-
-
-def add_bias(x, b):
-    """Add a (1, n) bias row to every row of a (m, n) matrix."""
-    x, b = _as_tensor(x), _as_tensor(b)
-    if x.data.ndim != 2 or b.data.shape != (1, x.data.shape[1]):
-        raise ValueError(f"add_bias: shape mismatch {x.data.shape} vs {b.data.shape}")
-    return _make(x.data + b.data, (x, b),
-                 [(x, lambda g: g), (b, lambda g: g.sum(axis=0, keepdims=True))])
+    return _make(data, pairs)
 
 
 def sum_all(x):
@@ -262,109 +264,88 @@ def sum_all(x):
     x = _as_tensor(x)
     shape = x.data.shape
     y = np.array([[x.data.sum()]])
-    return _make(y, (x,), [(x, lambda g: np.full(shape, g[0, 0]))])
+    return _make(y, [(x, lambda g: np.full(shape, g[0, 0]))])
 
 
 def abs_(x):
     """Elementwise absolute value; subgradient at 0 is 0."""
     x = _as_tensor(x)
     sign = np.sign(x.data)
-    return _make(np.abs(x.data), (x,), [(x, lambda g: g * sign)])
+    return _make(np.abs(x.data), [(x, lambda g: g * sign)])
 
 
 def log(x):
     """Elementwise natural log; caller guarantees positive entries."""
     x = _as_tensor(x)
     xd = x.data
-    return _make(np.log(xd), (x,), [(x, lambda g: g / xd)])
+    return _make(np.log(xd), [(x, lambda g: g / xd)])
 
 
 class Segments:
     """A segment index over rows, with the plan to reduce rows by segment.
 
-    index[i] is the segment of row i, in [0, num_segments). order, when
-    given, is a stable sorting permutation of index (a gather's index is
-    usually unsorted; sorting it once lets its backward use reduceat).
-    When the index, in that order, is sorted and leaves no segment empty,
-    reductions are one ufunc.reduceat over CSR start offsets; otherwise
-    they fall back to ufunc.at. The plan is computed once, so build one
-    Segments per index and reuse it.
+    index[i] is the segment of row i, in [0, num_segments); an index
+    outside that range raises ValueError. order is a stable sorting
+    permutation of index: None for a sorted index, computed here for an
+    unsorted one unless the caller has it (GraphBatch does). Reductions
+    run on the rows in that order (see the module docstring). The plan is
+    computed once, so build one Segments per index and reuse it.
     """
 
-    __slots__ = ("index", "num_segments", "order", "_starts")
+    __slots__ = ("index", "num_segments", "order", "_starts", "_filled")
 
     def __init__(self, index, num_segments, order=None):
-        self.index = np.asarray(index, dtype=np.intp)
+        self.index = index = np.asarray(index, dtype=np.intp)
         self.num_segments = int(num_segments)
+        if order is None and (index[1:] < index[:-1]).any():
+            order = np.argsort(index, kind="stable")
+        ordered = index if order is None else index[order]
+        if order is not None and (ordered[1:] < ordered[:-1]).any():
+            raise ValueError("segments: order does not sort the index")
+        if ordered.size and not (0 <= ordered[0] and ordered[-1] < self.num_segments):
+            raise ValueError(f"segments: index outside [0, {self.num_segments})")
         self.order = order
-        self._starts = None
-        ordered = self.index if order is None else self.index[order]
-        k = ordered.size
-        if (k and 0 <= ordered[0] and ordered[-1] < self.num_segments
-                and (ordered[1:] >= ordered[:-1]).all()):
-            counts = np.bincount(ordered, minlength=self.num_segments)
-            if counts.all():
-                self._starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-
-    @classmethod
-    def sorted_by(cls, index, num_segments):
-        """Segments that carry a stable sort of the index."""
-        index = np.asarray(index, dtype=np.intp)
-        return cls(index, num_segments, order=np.argsort(index, kind="stable"))
+        counts = np.bincount(index, minlength=self.num_segments)
+        starts = np.cumsum(counts) - counts
+        self._filled = None if counts.all() else counts.nonzero()[0]
+        self._starts = starts if self._filled is None else starts[self._filled]
 
     def reduce(self, ufunc, rows, identity):
         """ufunc-reduce the rows of each segment: (k, ...) -> (num_segments, ...)."""
-        if self._starts is None:
-            out = np.full((self.num_segments,) + rows.shape[1:], identity)
-            ufunc.at(out, self.index, rows)
-            return out
         if self.order is not None:
             rows = rows[self.order]
-        return ufunc.reduceat(rows, self._starts, axis=0)
+        if self._filled is None:
+            return ufunc.reduceat(rows, self._starts, axis=0)
+        out = np.full((self.num_segments,) + rows.shape[1:], identity)
+        out[self._filled] = ufunc.reduceat(rows, self._starts, axis=0)
+        return out
 
     def sum(self, rows):
         return self.reduce(np.add, rows, 0.0)
 
 
-def _segments(idx, num_segments):
-    if isinstance(idx, Segments):
-        if num_segments is not None and idx.num_segments != num_segments:
-            raise ValueError(f"segments: {idx.num_segments} segments, expected {num_segments}")
-        return idx
-    if num_segments is None:
-        raise ValueError("segments: a plain index needs its number of segments")
-    return Segments(idx, num_segments)
-
-
-def gather_rows(x, idx):
-    """Select rows x[idx]; backward sums the gradients of each source row.
-
-    idx is an index array or a Segments over the rows of x.
-    """
+def gather_rows(x, segs):
+    """Select rows x[segs.index] through a Segments over the rows of x;
+    backward sums the gradients of each source row."""
     x = _as_tensor(x)
-    segs = _segments(idx, x.data.shape[0])
-    return _make(x.data[segs.index], (x,), [(x, segs.sum)])
+    if segs.num_segments != x.data.shape[0]:
+        raise ValueError(f"gather_rows: {segs.num_segments} segments for {x.data.shape[0]} rows")
+    return _make(x.data[segs.index], [(x, segs.sum)])
 
 
-def scatter_add_rows(x, idx, num_out=None):
-    """Sum rows of x into num_out output rows grouped by idx.
-
-    idx is an index array (num_out required) or a Segments.
-    """
+def scatter_add_rows(x, segs):
+    """Sum the rows of x into one output row per segment of a Segments."""
     x = _as_tensor(x)
-    segs = _segments(idx, num_out)
-    return _make(segs.sum(x.data), (x,), [(x, lambda g: g[segs.index])])
+    return _make(segs.sum(x.data), [(x, lambda g: g[segs.index])])
 
 
-def segment_softmax(logits, segments, num_segments=None):
-    """Softmax of a (k, c) logit matrix within row groups given by segments.
+def segment_softmax(logits, segs):
+    """Softmax of a (k, c) logit matrix within the row groups of a Segments.
 
     Each column is normalized independently over the rows of its segment,
-    with per-segment max subtraction for stability. segments is an index
-    array (num_segments required) or a Segments.
+    with per-segment max subtraction for stability.
     """
     logits = _as_tensor(logits)
-    segs = _segments(segments, num_segments)
     idx = segs.index
     ld = logits.data
     if ld.ndim != 2:
@@ -375,7 +356,7 @@ def segment_softmax(logits, segments, num_segments=None):
     def vjp(g):
         return y * (g - segs.sum(g * y)[idx])
 
-    return _make(y, (logits,), [(logits, vjp)])
+    return _make(y, [(logits, vjp)])
 
 
 def expand_outer(coeff, feats):
@@ -398,14 +379,14 @@ def expand_outer(coeff, feats):
     def vjp_feats(g):
         return (g.reshape(k, d, s) * cd[:, None, :]).sum(axis=2)
 
-    return _make(y, (coeff, feats), [(coeff, vjp_coeff), (feats, vjp_feats)])
+    return _make(y, [(coeff, vjp_coeff), (feats, vjp_feats)])
 
 
 def transpose(x):
     x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ValueError(f"transpose: need 2-D input, got shape {x.data.shape}")
-    return _make(x.data.T.copy(), (x,), [(x, lambda g: g.T)])
+    return _make(x.data.T.copy(), [(x, lambda g: g.T)])
 
 
 def slice_rows(x, lo, hi):
@@ -420,27 +401,7 @@ def slice_rows(x, lo, hi):
         out[lo:hi] = g
         return out
 
-    return _make(x.data[lo:hi].copy(), (x,), [(x, vjp)])
-
-
-def row_scale(x, weights):
-    """Scale each row of x by a fixed (non-trainable) per-row weight."""
-    x = _as_tensor(x)
-    w = np.asarray(weights, dtype=np.float64).reshape(-1, 1)
-    if w.shape[0] != x.data.shape[0]:
-        raise ValueError(f"row_scale: {w.shape[0]} weights for {x.data.shape[0]} rows")
-    return _make(x.data * w, (x,), [(x, lambda g: g * w)])
-
-
-def colvec_mul(x, c):
-    """Multiply a (m, n) tensor by a (m, 1) column, broadcast across columns."""
-    x, c = _as_tensor(x), _as_tensor(c)
-    if c.data.shape != (x.data.shape[0], 1):
-        raise ValueError(f"colvec_mul: shape mismatch {x.data.shape} vs {c.data.shape}")
-    xd, cd = x.data, c.data
-    return _make(xd * cd, (x, c),
-                 [(x, lambda g: g * cd),
-                  (c, lambda g: (g * xd).sum(axis=1, keepdims=True))])
+    return _make(x.data[lo:hi].copy(), [(x, vjp)])
 
 
 def finite_diff_check(f, theta, eps=1e-6):

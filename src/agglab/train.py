@@ -2,9 +2,10 @@
 disjoint-union graph batches, and the desk-scale ablation suite.
 
 A training batch is split into groups of consecutive graphs that fit
-under MESSAGE_BUDGET messages; each group is one GraphBatch and one tape,
-and the groups' gradients add up to the batch gradient. Validation and
-evaluate run the same groups without a tape.
+under MESSAGE_BUDGET messages; each group is one tape, over a GraphBatch
+or, for a group of one, the Graph itself, and the groups' gradients add
+up to the batch gradient. Validation and evaluate run the same groups
+without a tape.
 
 Runs are deterministic given the config seed: identical configs produce
 bitwise-identical metrics. For that reason the metrics CSV carries a
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .graphs import GraphBatch
+from .graphs import GraphBatch, is_finite_number
 from .layers import INSPECTION_KINDS, LayerSpec, Model, model_param_count
 
 __all__ = [
@@ -125,19 +126,19 @@ def graph_loss(model, graph, loss_kind):
 
 
 def message_groups(graphs):
-    """GraphBatches of consecutive graphs, each holding as many graphs as
-    fit under MESSAGE_BUDGET messages (a larger graph forms a group alone)."""
-    groups, current, size = [], [], 0
+    """Groups of consecutive graphs, each holding as many graphs as fit
+    under MESSAGE_BUDGET messages (a larger graph forms a group alone): a
+    GraphBatch, or the Graph itself for a group of one, which computes the
+    same bits without copying its arrays."""
+    runs, size = [], 0
     for g in graphs:
         k = len(g.message_index()[0])
-        if current and size + k > MESSAGE_BUDGET:
-            groups.append(GraphBatch(current))
-            current, size = [], 0
-        current.append(g)
+        if not runs or size + k > MESSAGE_BUDGET:
+            runs.append([])
+            size = 0
+        runs[-1].append(g)
         size += k
-    if current:
-        groups.append(GraphBatch(current))
-    return groups
+    return [run[0] if len(run) == 1 else GraphBatch(run) for run in runs]
 
 
 def evaluate(model, graphs, loss_kind="MAE"):
@@ -176,8 +177,12 @@ def train(specs, dataset, config, head_dim=1):
             raise ValueError(f"layer kind {spec.kind} has no autodiff and cannot be trained")
     for split in ("train", "valid", "test"):
         for i in dataset.split[split]:
-            if dataset.graphs[i].target is None:
+            target = dataset.graphs[i].target
+            if target is None:
                 raise ValueError(f"{split} split: graph {i} has no target")
+            if not is_finite_number(target):
+                raise ValueError(f"{split} split: graph {i} has target {target!r}, "
+                                 f"not a finite number")
     train_graphs = dataset.subset("train")
     if not train_graphs:
         raise ValueError("empty train split")

@@ -147,16 +147,6 @@ def test_postcomposition_never_enlarges_separations():
     assert reduced <= full
 
 
-def test_check_equivariance():
-    rng = np.random.default_rng(5)
-    x = A.MultisetSample(rng.standard_normal((3, 2)))
-    for _ in range(5):
-        T = rng.standard_normal((4, 2))
-        assert A.check_equivariance(SUM, T, x)
-        assert A.check_equivariance(MEAN, T, x)
-    assert not A.check_equivariance(MAX, np.array([[-1.0]]), A.MultisetSample([1.0, 2.0]))
-
-
 def test_premap_never_enlarges_separations_for_equivariant():
     rng = np.random.default_rng(7)
     multisets = [m for k in (1, 2) for m in A.enumerate_multisets([-1.0, 0.0, 1.0], k, width=2)]

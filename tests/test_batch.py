@@ -168,6 +168,22 @@ def test_message_groups_fill_the_budget_in_order(monkeypatch):
     assert start == len(graphs)
 
 
+def test_a_group_of_one_graph_is_the_graph_itself(monkeypatch):
+    monkeypatch.setattr(TR, "MESSAGE_BUDGET", 40)
+    rng = np.random.default_rng(9)
+    small = [random_graph(rng, 3, 0.5, 2, 1.0) for _ in range(2)]
+    big = random_graph(rng, 9, 0.8, 2, 4.0)
+    assert len(big.message_index()[0]) > 40
+    groups = TR.message_groups(small + [big] + small)
+    assert [type(grp) for grp in groups] == [G.GraphBatch, G.Graph, G.GraphBatch]
+    assert groups[1] is big and big.num_graphs == 1
+    model = L.Model(MODEL_SPECS["EXPC"](2), seed=3)
+    loss, grads = loss_and_grads(model, big, "MSE")
+    batch_loss, batch_grads = loss_and_grads(model, G.GraphBatch([big]), "MSE")
+    assert loss == batch_loss
+    assert all(np.array_equal(a, b) for a, b in zip(grads, batch_grads))
+
+
 def test_training_does_not_depend_on_the_grouping(monkeypatch):
     ds = G.gen_er_triangle_dataset(40, n_nodes=7, p=0.4, seed=6)
     specs = TR.triangle_model_specs("EXPC", 4, s=2)

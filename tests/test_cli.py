@@ -246,3 +246,17 @@ def test_train_rejects_an_unlabeled_graph_before_any_step(loss, tmp_path, capsys
     err = capsys.readouterr().err
     assert "valid split: graph 8 has no target" in err
     assert "non-finite" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ['"three"', "[1, 2]", "true", "NaN"])
+def test_train_rejects_a_target_that_is_not_a_finite_number(target, tmp_path, capsys):
+    data = tmp_path / "d.jsonl"
+    assert run(["gen-data", "--count", "10", "--nodes", "5", "--out", str(data)]) == 0
+    lines = data.read_text().splitlines()
+    lines[3] = lines[3].rsplit('"target": ', 1)[0] + f'"target": {target}}}'
+    data.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["train", "--data", str(data), "--epochs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "line 4: target" in err and "not a finite number" in err
+    assert "Traceback" not in err

@@ -181,6 +181,17 @@ def test_load_reports_malformed_json_and_ragged_features(tmp_path):
         G.load_graphs(path)
 
 
+@pytest.mark.parametrize("target",
+                         ['"three"', "[1, 2]", "true", "NaN", "-Infinity", "1" + "0" * 400])
+def test_load_rejects_a_target_that_is_not_a_finite_number(target, tmp_path):
+    path = tmp_path / "bad.jsonl"
+    good = json.dumps({"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1.0], [1.0]],
+                       "target": 0})
+    path.write_text(good + "\n" + good.replace('"target": 0', f'"target": {target}') + "\n")
+    with pytest.raises(G.GraphFileError, match="line 2: target .* is not a finite number"):
+        G.load_graphs(path)
+
+
 def test_load_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")

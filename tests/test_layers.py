@@ -7,6 +7,7 @@ from agglab import analysis as A
 from agglab import graphs as G
 from agglab import layers as L
 from agglab import tensor as T
+from agglab import train as TR
 
 
 def er_graph(seed, n=8, p=0.4, d=1):
@@ -113,14 +114,14 @@ def test_gat_attention_rows_sum_to_one():
     spec = L.LayerSpec("GAT_DEFAULT", d, d, heads=K)
     params = L.init_layer_params(spec, rng)
     H = T.Tensor(g.node_features)
-    src, dst = g.message_index()
+    src, dst = g.message_segments()
     for k in range(K):
         HW = T.matmul(H, T.transpose(params[f"W{k}"]))
         pair = T.concat([T.gather_rows(HW, dst), T.gather_rows(HW, src)], axis=1)
         logits = T.activation(T.matmul(pair, params[f"a{k}"]), "leakyrelu")
-        alpha = T.segment_softmax(logits, dst, g.num_nodes)
+        alpha = T.segment_softmax(logits, dst)
         sums = np.zeros(g.num_nodes)
-        np.add.at(sums, dst, alpha.data[:, 0])
+        np.add.at(sums, dst.index, alpha.data[:, 0])
         assert np.all(np.abs(sums - 1.0) < 1e-12)
 
 
@@ -311,7 +312,7 @@ def _combc_forward_before_merge(params, graph, H, spec, bypass=None):
     Hd, Hs = T.gather_rows(H, dst), T.gather_rows(H, src)
     if bypass is None:
         pair = T.concat([Hd, Hs], axis=1)
-        pre = T.add_bias(T.matmul(pair, T.transpose(params["Wc"])), T.transpose(params["bc"]))
+        pre = T.add(T.matmul(pair, T.transpose(params["Wc"])), T.transpose(params["bc"]))
         C = T.activation(pre, "tanh")
     else:
         shape = (Hd.data.shape[0], params["Wc"].data.shape[0])
@@ -547,3 +548,44 @@ def test_param_shapes_follow_equations():
                               np.random.default_rng(0))
     assert gat["W0"].data.shape == (6, 6)
     assert gat["a1"].data.shape == (12, 1)
+
+
+# Taped ops of one forward with taped input features on a 6-node graph:
+# the counts the single-purpose bias and scaling ops recorded, one op each.
+TAPED_OPS = [
+    (dict(kind="GCN"), 6),
+    (dict(kind="GIN0"), 11),
+    (dict(kind="GAT_DEFAULT", heads=3), 37),
+    (dict(kind="GAT_EXPANDING", heads=3), 41),
+    (dict(kind="EXPC", s=2), 19),
+    (dict(kind="EXPC", s=2, re_sum=False), 19),
+    (dict(kind="EXPC", s=2, mlp_depth=1), 15),
+    (dict(kind="EXPC_MULTIAGG", s=2, append="one_and_invdeg"), 20),
+    (dict(kind="COMBC"), 19),
+    (dict(kind="COMBC", re_sum=False), 19),
+]
+
+
+@pytest.mark.parametrize("kw, ops", TAPED_OPS)
+def test_each_kind_records_its_pinned_number_of_tape_ops(kw, ops):
+    g = G.random_featured_graph(np.random.default_rng(0), 6, 0.5, 3)
+    spec = L.LayerSpec(d_in=3, d_out=3, **kw)
+    params = L.init_layer_params(spec, np.random.default_rng(1))
+    tape = T.Tape()
+    for t in params.values():
+        tape.watch(t)
+    L.layer_forward(spec, params, g, tape.param(g.node_features.copy()))
+    assert len(tape._ops) == ops
+
+
+@pytest.mark.parametrize("readout, ops", [("SUM", 29), ("MEAN", 30)])
+def test_the_model_loss_records_its_pinned_number_of_tape_ops(readout, ops):
+    g = G.random_featured_graph(np.random.default_rng(0), 6, 0.5, 3)
+    g.target = 1.0
+    model = L.Model([L.LayerSpec("GCN", 3, 4), L.LayerSpec("EXPC", 4, 2, s=2)],
+                    seed=0, readout_mode=readout)
+    for graph in (g, G.GraphBatch([g, g])):
+        tape = T.Tape()
+        model.watch(tape)
+        TR.graph_loss(model, graph, "MSE")
+        assert len(tape._ops) == ops

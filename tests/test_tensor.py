@@ -170,13 +170,13 @@ def test_mixing_tapes_rejected():
 def test_gather_scatter_roundtrip_gradients():
     rng = np.random.default_rng(13)
     h = T.Tensor(rng.standard_normal((5, 3)))
-    idx = np.array([0, 0, 2, 4, 4, 4])
+    idx = T.Segments([0, 0, 2, 4, 4, 4], 5)
 
     def f():
         t = T.Tape()
         t.watch(h)
         g = T.gather_rows(h, idx)
-        s = T.scatter_add_rows(g, np.array([0, 1, 1, 2, 0, 2]), 3)
+        s = T.scatter_add_rows(g, T.Segments([0, 1, 1, 2, 0, 2], 3))
         return T.sum_all(T.activation(s, "tanh"))
 
     assert T.finite_diff_check(f, h) < 1e-6
@@ -184,8 +184,8 @@ def test_gather_scatter_roundtrip_gradients():
 
 def test_segment_softmax_normalizes_per_segment():
     logits = T.Tensor(np.array([[1.0], [2.0], [3.0], [0.5]]))
-    seg = np.array([0, 0, 1, 1])
-    y = T.segment_softmax(logits, seg, 2)
+    seg = T.Segments([0, 0, 1, 1], 2)
+    y = T.segment_softmax(logits, seg)
     assert abs(y.data[0, 0] + y.data[1, 0] - 1.0) < 1e-12
     assert abs(y.data[2, 0] + y.data[3, 0] - 1.0) < 1e-12
 
@@ -193,13 +193,13 @@ def test_segment_softmax_normalizes_per_segment():
 def test_segment_softmax_gradient():
     rng = np.random.default_rng(17)
     logits = T.Tensor(rng.standard_normal((6, 2)))
-    seg = np.array([0, 0, 0, 1, 1, 2])
+    seg = T.Segments([0, 0, 0, 1, 1, 2], 3)
     w = rng.standard_normal((6, 2))
 
     def f():
         t = T.Tape()
         t.watch(logits)
-        y = T.segment_softmax(logits, seg, 3)
+        y = T.segment_softmax(logits, seg)
         return T.sum_all(T.elementwise_mul(y, T.Tensor(w)))
 
     assert T.finite_diff_check(f, logits) < 1e-6
@@ -286,8 +286,8 @@ def _random_differentiable_graph(rng, x):
     """Random composite expression exercising every differentiable op."""
     m, n = x.data.shape
     w = T.Tensor(rng.standard_normal((n, 3)))
-    idx = rng.integers(0, m, size=m + 2)
-    seg = np.sort(rng.integers(0, 2, size=m + 2))
+    idx = T.Segments(rng.integers(0, m, size=m + 2), m)
+    seg = T.Segments(np.sort(rng.integers(0, 2, size=m + 2)), 2)
     parts = [
         T.matmul(x, w),
         T.activation(x, "tanh"),
@@ -295,9 +295,9 @@ def _random_differentiable_graph(rng, x):
         T.activation(T.add(x, T.Tensor(np.full((m, n), 0.05))), "leakyrelu"),
         T.softmax_rows(x),
         T.elementwise_mul(x, x),
-        T.add_bias(x, T.Tensor(rng.standard_normal((1, n)))),
-        T.scatter_add_rows(T.gather_rows(x, idx), seg, 2),
-        T.segment_softmax(T.gather_rows(x, idx), seg, 2),
+        T.add(x, T.Tensor(rng.standard_normal((1, n)))),
+        T.scatter_add_rows(T.gather_rows(x, idx), seg),
+        T.segment_softmax(T.gather_rows(x, idx), seg),
         T.expand_outer(x, x),
         T.vec_stack(x),
         T.transpose(x),
@@ -349,6 +349,33 @@ def _assert_close(got, want):
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
 
 
+class _TwoPathSegments:
+    """Segments before it had one reduction path, kept as the oracle: one
+    reduceat over CSR starts when the index, in the given order, is sorted
+    and leaves no segment empty, ufunc.at otherwise."""
+
+    def __init__(self, index, num_segments, order=None):
+        self.index = np.asarray(index, dtype=np.intp)
+        self.num_segments = int(num_segments)
+        self.order = order
+        self.starts = None
+        ordered = self.index if order is None else self.index[order]
+        if (ordered.size and 0 <= ordered[0] and ordered[-1] < self.num_segments
+                and (ordered[1:] >= ordered[:-1]).all()):
+            counts = np.bincount(ordered, minlength=self.num_segments)
+            if counts.all():
+                self.starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+
+    def reduce(self, ufunc, rows, identity):
+        if self.starts is None:
+            out = np.full((self.num_segments,) + rows.shape[1:], identity)
+            ufunc.at(out, self.index, rows)
+            return out
+        if self.order is not None:
+            rows = rows[self.order]
+        return ufunc.reduceat(rows, self.starts, axis=0)
+
+
 @st.composite
 def segment_cases(draw):
     """(index, num_segments, rows): sorted or not, empty segments or not."""
@@ -369,14 +396,32 @@ def segment_cases(draw):
 @given(segment_cases())
 @settings(max_examples=300, deadline=None)
 def test_segment_sums_match_add_at(case):
+    """Bit for bit the two-path oracle wherever it reduced the same way:
+    where it took reduceat, for max, and where no segment holds three rows.
+    Elsewhere ufunc.at added left to right and reduceat associates
+    r0 + ((r1 + r2) + ...), so the sums agree to rounding."""
     index, n, rows = case
-    want = _add_at(index, rows, n)
-    _assert_close(T.Segments(index, n).sum(rows), want)
-    _assert_close(T.Segments.sorted_by(index, n).sum(rows), want)
-    seg_max = np.full((n, rows.shape[1]), -np.inf)
-    np.maximum.at(seg_max, index, rows)
-    assert np.array_equal(T.Segments.sorted_by(index, n).reduce(np.maximum, rows, -np.inf),
-                          seg_max)
+    short = np.bincount(index, minlength=n).max(initial=0) <= 2
+    order = np.argsort(index, kind="stable")
+    for given_order in (None, order):
+        segs, old = T.Segments(index, n, given_order), _TwoPathSegments(index, n, given_order)
+        for ufunc, identity in ((np.add, 0.0), (np.maximum, -np.inf)):
+            got, want = segs.reduce(ufunc, rows, identity), old.reduce(ufunc, rows, identity)
+            if old.starts is not None or ufunc is np.maximum or short:
+                assert np.array_equal(got, want)
+            else:
+                _assert_close(got, want)
+        _assert_close(segs.sum(rows), _add_at(index, rows, n))
+
+
+@given(segment_cases(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_segments_reject_an_index_outside_their_range(case, data):
+    index, n, _ = case
+    bad = data.draw(st.one_of(st.integers(-3, -1), st.integers(n, n + 3)))
+    index = np.insert(index, data.draw(st.integers(0, index.size)), bad)
+    with pytest.raises(ValueError, match=rf"outside \[0, {n}\)"):
+        T.Segments(index, n)
 
 
 def _value_and_vjp(op, x, g):
@@ -398,8 +443,8 @@ def test_segment_ops_and_their_vjps_match_add_at(case):
     np.maximum.at(seg_max, index, rows)
     e = np.exp(rows - seg_max[index])
     softmax = e / _add_at(index, e, n)[index]
-    for segs in (index, T.Segments(index, n), T.Segments.sorted_by(index, n)):
-        out, grad = _value_and_vjp(lambda x: T.scatter_add_rows(x, segs, n), rows, g_out)
+    for segs in (T.Segments(index, n), T.Segments(index, n, np.argsort(index, kind="stable"))):
+        out, grad = _value_and_vjp(lambda x: T.scatter_add_rows(x, segs), rows, g_out)
         _assert_close(out, _add_at(index, rows, n))
         assert np.array_equal(grad, g_out[index])
 
@@ -407,22 +452,87 @@ def test_segment_ops_and_their_vjps_match_add_at(case):
         assert np.array_equal(out, g_out[index])
         _assert_close(grad, _add_at(index, g_rows, n))
 
-        out, grad = _value_and_vjp(lambda x: T.segment_softmax(x, segs, n), rows, g_rows)
+        out, grad = _value_and_vjp(lambda x: T.segment_softmax(x, segs), rows, g_rows)
         _assert_close(out, softmax)
         _assert_close(grad, softmax * (g_rows - _add_at(index, g_rows * softmax, n)[index]))
 
 
-def test_sorted_full_segments_take_reduceat_and_the_rest_fall_back():
-    assert T.Segments(np.array([0, 0, 1, 2]), 3)._starts is not None
-    assert T.Segments.sorted_by(np.array([2, 0, 1, 0]), 3)._starts is not None
-    assert T.Segments(np.array([2, 0, 1, 0]), 3)._starts is None      # unsorted
-    assert T.Segments(np.array([0, 0, 2]), 3)._starts is None         # segment 1 empty
-    assert T.Segments(np.array([0, 1]), 3)._starts is None            # trailing empty
-    assert T.Segments(np.array([], dtype=np.intp), 2)._starts is None  # no rows
+def test_segments_sort_an_unsorted_index_once():
+    assert T.Segments(np.array([0, 0, 1, 2]), 3).order is None
+    assert T.Segments(np.array([0, 0, 2]), 3).order is None             # segment 1 empty
+    assert T.Segments(np.array([], dtype=np.intp), 2).order is None     # no rows
+    index = np.array([2, 0, 1, 0])
+    assert np.array_equal(T.Segments(index, 3).order, np.argsort(index, kind="stable"))
+    given_order = np.array([1, 3, 2, 0])
+    assert T.Segments(index, 3, order=given_order).order is given_order
+    with pytest.raises(ValueError, match="order does not sort"):
+        T.Segments(index, 3, order=np.arange(4))
 
 
 def test_segments_reject_a_mismatched_count():
-    with pytest.raises(ValueError, match="segments"):
-        T.scatter_add_rows(T.Tensor(np.ones((2, 1))), T.Segments([0, 1], 2), 3)
-    with pytest.raises(ValueError, match="number of segments"):
-        T.scatter_add_rows(T.Tensor(np.ones((2, 1))), np.array([0, 1]))
+    x = T.Tensor(np.arange(6.0).reshape(3, 2))
+    with pytest.raises(ValueError, match="2 segments for 3 rows"):
+        T.gather_rows(x, T.Segments([0, 1], 2))
+    with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
+        T.scatter_add_rows(x, T.Segments([-1, 0, 0], 2))
+    with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+        T.gather_rows(x, T.Segments([-1, 0], 3))
+    with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+        T.Segments([0, 5, 1], 3)
+
+
+# ---- broadcasting against the single-purpose ops it replaces ----------------
+
+def _add_bias(x, b):
+    return T._make(x.data + b.data, [(x, lambda g: g),
+                                     (b, lambda g: g.sum(axis=0, keepdims=True))])
+
+
+def _row_scale(x, weights):
+    w = np.asarray(weights, dtype=np.float64).reshape(-1, 1)
+    return T._make(x.data * w, [(x, lambda g: g * w)])
+
+
+def _colvec_mul(x, c):
+    xd, cd = x.data, c.data
+    return T._make(xd * cd, [(x, lambda g: g * cd),
+                             (c, lambda g: (g * xd).sum(axis=1, keepdims=True))])
+
+
+def _values_and_grads(op, a, b, g):
+    """op(a, b) and the gradients of sum(op(a, b) * g) with respect to a and b."""
+    tape = T.Tape()
+    at, bt = tape.param(a.copy()), tape.param(b.copy())
+    out = op(at, bt)
+    tape.backward(T.sum_all(T.elementwise_mul(out, T.Tensor(g))))
+    return out.data, at.grad, bt.grad
+
+
+@given(st.integers(0, 5), st.integers(1, 4), st.integers(0, 2**31 - 1))
+@settings(max_examples=200, deadline=None)
+def test_broadcasting_ops_match_the_ops_they_replace(m, n, seed):
+    rng = np.random.default_rng(seed)
+    x, g = rng.standard_normal((m, n)), rng.standard_normal((m, n))
+    row, col = rng.standard_normal((1, n)), rng.standard_normal((m, 1))
+    pairs = [
+        (T.add, _add_bias, x, row),
+        (lambda a, b: T.add(b, a), _add_bias, x, row),
+        (lambda a, b: T.elementwise_mul(a, T.Tensor(b.data)),
+         lambda a, b: _row_scale(a, b.data[:, 0]), x, col),
+        (T.elementwise_mul, _colvec_mul, x, col),
+        (lambda a, b: T.elementwise_mul(b, a), _colvec_mul, x, col),
+    ]
+    for new, old, a, b in pairs:
+        got, want = _values_and_grads(new, a, b, g), _values_and_grads(old, a, b, g)
+        for u, v in zip(got, want):
+            assert (u is None and v is None) or np.array_equal(u, v)
+    out, ga, gb = _values_and_grads(T.sub, x, row, g)
+    assert np.array_equal(out, x - row) and np.array_equal(ga, g)
+    assert np.array_equal(gb, -g.sum(axis=0, keepdims=True))
+
+
+def test_broadcasting_rejects_other_shapes():
+    for a, b in [((2, 3), (3, 2)), ((2, 3), (3,)), ((2, 3), (2, 2))]:
+        for op in (T.add, T.sub, T.elementwise_mul):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                op(T.Tensor(np.ones(a)), T.Tensor(np.ones(b)))

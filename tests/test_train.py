@@ -93,6 +93,15 @@ def test_train_empty_split_rejected():
         TR.train(TR.triangle_model_specs("GCN", 4), empty, TR.TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize("target", ["three", [1, 2], True, float("nan"), float("inf")])
+def test_train_rejects_a_target_that_is_not_a_finite_number(target):
+    ds = tiny_dataset()
+    ds.graphs[ds.split["test"][1]].target = target
+    with pytest.raises(ValueError, match=rf"test split: graph {ds.split['test'][1]} has "
+                                         rf"target .* not a finite number"):
+        TR.train(TR.triangle_model_specs("GCN", 4), ds, TR.TrainConfig(epochs=1))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_diverged_reports_position():
     ds = tiny_dataset()
@@ -234,12 +243,12 @@ def test_train_diverged_on_a_non_finite_gradient(monkeypatch):
     original = L.layer_forward
     calls = []
 
-    def poisoned(spec, params, graph, H, bypass=None):
-        out = original(spec, params, graph, H, bypass=bypass)
+    def poisoned(spec, params, graph, H):
+        out = original(spec, params, graph, H)
         calls.append(1)
         if len(calls) <= 4:  # the first batch: two groups of one graph, two layers each
             return out
-        return T._make(out.data, (out,), [(out, lambda g: g * np.nan)])
+        return T._make(out.data, [(out, lambda g: g * np.nan)])
 
     monkeypatch.setattr(L, "layer_forward", poisoned)
     monkeypatch.setattr(TR, "MESSAGE_BUDGET", 1)
