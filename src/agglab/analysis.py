@@ -9,6 +9,17 @@ multisets, and stacking extra rows strictly helps iff it raises the rank.
 Everything here is a pure function over immutable inputs. Certificates
 (rank conditions) are exact up to the numerical tolerance; refutations are
 witness pairs found by exhaustive search over small grids.
+
+The multiset oracles (separation_set, collision_set and the
+collision_oracle and compare_strength built on them) work on whole
+candidate lists as array passes. An aggregator's outputs are stacked once,
+grouped by output shape: a MatrixAggregator maps a list of one multiset
+size through one batched matmul. Outputs of different shapes are at
+distance inf (output_distance), so such a pair is always separated and
+never collides. Within a shape group the Euclidean distances are computed
+in blocks of rows holding at most BLOCK_ELEMS output differences, so a
+list of n candidates never allocates n^2 * width numbers at once; a pair
+separates iff its distance is >= tol and collides iff it is < tol.
 """
 
 import itertools
@@ -22,11 +33,12 @@ __all__ = [
     "ranges_disjoint_certificate", "enumerate_multisets", "collision_oracle",
     "compare_strength", "rank_preservation_report",
     "multiset_distance_under", "kernel_collision", "cross_kernel_collision",
-    "separation_set",
+    "separation_set", "collision_set",
 ]
 
 COLLISION_TOL = 1e-9
 MAX_ORACLE_SIZE = 5
+BLOCK_ELEMS = 1 << 18  # output differences one distance block may hold
 
 
 class MultisetSample:
@@ -45,6 +57,13 @@ class MultisetSample:
             raise ValueError(f"need a nonempty 2-D element array, got shape {arr.shape}")
         order = sorted(range(arr.shape[0]), key=lambda i: tuple(arr[i]))
         self.elements = arr[order]
+
+    @classmethod
+    def _canonical(cls, elements):
+        """A sample over a 2-D float64 array already in canonical order."""
+        sample = cls.__new__(cls)
+        sample.elements = elements
+        return sample
 
     @property
     def size(self):
@@ -183,6 +202,14 @@ class MatrixAggregator(Aggregator):
             raise ValueError(f"multiset size {e.shape[0]} != coefficient columns {self.arity}")
         return (self.M @ e).reshape(-1, order="F")
 
+    def batch(self, elements):
+        """Rows self(x) for a stack of element arrays, shape (N, n, d), from
+        one matmul: numpy runs the product of each item as __call__ does,
+        so the rows carry __call__'s bits."""
+        if elements.shape[1] != self.arity:
+            raise ValueError(f"multiset size {elements.shape[1]} != coefficient columns {self.arity}")
+        return np.matmul(self.M, elements).transpose(0, 2, 1).reshape(len(elements), -1)
+
 
 def _svd_rank(sv, shape, tol=None):
     """numerical_rank's rule, on the singular values of a matrix of this shape."""
@@ -235,15 +262,21 @@ def ranges_disjoint_certificate(M1, M2):
 
 
 def enumerate_multisets(grid, size, width=1):
-    """All multisets of `size` elements drawn from grid^width, in
-    lexicographic order."""
-    if width == 1:
-        pool = [(float(g),) for g in grid]
-    else:
-        pool = [tuple(float(c) for c in combo)
-                for combo in itertools.product(grid, repeat=width)]
-    for combo in itertools.combinations_with_replacement(pool, size):
-        yield MultisetSample(np.array(combo))
+    """All multisets of `size` elements drawn from grid^width, in the order
+    combinations_with_replacement takes the pool (lexicographic for a
+    sorted grid). Each combination is put in canonical order through its
+    elements' ranks in the sorted pool, by one array sort for them all."""
+    if size < 1:
+        raise ValueError(f"multiset size must be at least 1, got {size}")
+    pool = [tuple(float(c) for c in combo) for combo in itertools.product(grid, repeat=width)]
+    order = sorted(range(len(pool)), key=pool.__getitem__)
+    rank = np.empty(len(pool), dtype=np.intp)
+    rank[order] = np.arange(len(pool))
+    sorted_pool = np.array([pool[p] for p in order], dtype=np.float64).reshape(len(pool), width)
+    combos = np.array(list(itertools.combinations_with_replacement(range(len(pool)), size)),
+                      dtype=np.intp).reshape(-1, size)
+    for elements in sorted_pool[np.sort(rank[combos], axis=1)]:
+        yield MultisetSample._canonical(elements)
 
 
 def _size_options(agg, max_size):
@@ -271,7 +304,6 @@ def collision_oracle(agg1, agg2, grid, max_size=3, width=1, tol=COLLISION_TOL):
         raise ValueError(f"max_size {max_size} > {MAX_ORACLE_SIZE} (explosion guard)")
     if len(grid) == 0:
         raise ValueError("grid must be nonempty")
-    same = agg1 is agg2
     cache = {}
 
     def candidates(size):
@@ -282,22 +314,96 @@ def collision_oracle(agg1, agg2, grid, max_size=3, width=1, tol=COLLISION_TOL):
 
     for k1, k2 in _size_pairs(_size_options(agg1, max_size), _size_options(agg2, max_size)):
         ms1, ms2 = candidates(k1), candidates(k2)
-        for i, x1 in enumerate(ms1):
-            out1 = agg1(x1)
-            start = i + 1 if (same and k1 == k2) else 0
-            for x2 in ms2[start:]:
-                if k1 == k2 and x1 == x2:
-                    continue
-                if output_distance(out1, agg2(x2)) < tol:
-                    return x1, x2
+        hits = collision_set(agg1, ms1, agg2, ms2, tol)
+        if hits:
+            i, j = min(hits)  # the first pair a row-major scan meets
+            return ms1[i], ms2[j]
     return None
 
 
+def _output_groups(agg, multisets):
+    """agg's outputs on the candidates, grouped by output shape:
+    {shape: (indices, rows)}, rows[k] the raveled output on
+    multisets[indices[k]], indices ascending."""
+    if hasattr(agg, "batch") and multisets:  # a MatrixAggregator
+        elements = [agg._elements(m) for m in multisets]
+        if all(e.shape == elements[0].shape for e in elements):
+            rows = agg.batch(np.stack(elements))
+            return {rows.shape[1:]: (np.arange(len(rows)), rows)}
+    groups = {}
+    for i, m in enumerate(multisets):
+        out = np.asarray(agg(m), dtype=np.float64)
+        idx, rows = groups.setdefault(out.shape, ([], []))
+        idx.append(i)
+        rows.append(out.ravel())
+    return {shape: (np.array(idx), np.array(rows).reshape(len(idx), -1))
+            for shape, (idx, rows) in groups.items()}
+
+
+def _hit_pairs(X, Y, test, tol, upper):
+    """Index arrays (i, j) of the rows of X (at least one) and Y whose
+    Euclidean distance d has test(d, tol); upper keeps j > i only (for Y
+    the same rows as X). Rows go in blocks holding at most BLOCK_ELEMS
+    differences (one row at least)."""
+    m = len(Y)
+    step = max(1, BLOCK_ELEMS // max(1, m * X.shape[1]))
+    found_i, found_j = [], []
+    for a in range(0, len(X), step):
+        b = min(len(X), a + step)
+        lo = a + 1 if upper else 0
+        diff = X[a:b, None, :] - Y[None, lo:, :]
+        hit = test(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)), tol)
+        if upper:
+            hit &= np.arange(lo, m) > np.arange(a, b)[:, None]
+        i, j = np.nonzero(hit)
+        found_i.append(i + a)
+        found_j.append(j + lo)
+    return np.concatenate(found_i), np.concatenate(found_j)
+
+
 def separation_set(agg, multisets, tol=COLLISION_TOL):
-    """Index pairs (i, j) the aggregator separates, over a fixed candidate list."""
-    outs = [agg(m) for m in multisets]
-    return {(i, j) for i in range(len(outs)) for j in range(i + 1, len(outs))
-            if output_distance(outs[i], outs[j]) >= tol}
+    """Index pairs (i, j), i < j, the aggregator separates over a fixed
+    candidate list: output_distance(agg(multisets[i]), agg(multisets[j])) >= tol.
+
+    The outputs are stacked once and grouped by shape. Every pair across
+    two groups is separated (distance inf); within a group the distances
+    are thresholded in blocks of rows holding at most BLOCK_ELEMS output
+    differences.
+    """
+    groups = list(_output_groups(agg, multisets).values())
+    pairs = set()
+    for g, (idx, rows) in enumerate(groups):
+        i, j = _hit_pairs(rows, rows, np.greater_equal, tol, upper=True)
+        pairs.update(zip(idx[i].tolist(), idx[j].tolist()))
+        for other, _ in groups[g + 1:]:
+            a, b = np.meshgrid(idx, other, indexing="ij")
+            pairs.update(zip(np.minimum(a, b).ravel().tolist(),
+                             np.maximum(a, b).ravel().tolist()))
+    return pairs
+
+
+def collision_set(agg1, ms1, agg2, ms2, tol=COLLISION_TOL):
+    """Index pairs (i, j) of two lists of MultisetSamples with
+    output_distance(agg1(ms1[i]), agg2(ms2[j])) < tol and ms1[i] != ms2[j].
+
+    Outputs are grouped by shape as in separation_set; only groups of one
+    shape can collide. With the same aggregator and the same list on both
+    sides, the pairs j > i are computed and mirrored.
+    """
+    same = agg1 is agg2 and ms1 is ms2
+    groups1 = _output_groups(agg1, ms1)
+    groups2 = groups1 if same else _output_groups(agg2, ms2)
+    hits = set()
+    for shape, (idx1, rows1) in groups1.items():
+        if shape not in groups2:
+            continue
+        idx2, rows2 = groups2[shape]
+        i, j = _hit_pairs(rows1, rows2, np.less, tol, upper=same)
+        a, b = idx1[i].tolist(), idx2[j].tolist()
+        hits.update(zip(a, b))
+        if same:
+            hits.update(zip(b, a))
+    return {(i, j) for i, j in hits if not ms1[i] == ms2[j]}
 
 
 def compare_strength(agg1, agg2, grid, max_size=3, width=1, tol=COLLISION_TOL):

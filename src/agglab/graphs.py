@@ -42,31 +42,50 @@ class _MessageGraph:
         return self._deg
 
 
+def _edge_ends(edges, n):
+    """The edges as intp arrays (lo, hi), lo < hi, sorted by (lo, hi) and
+    de-duplicated. The first edge in input order that is a self-loop, or
+    else has an end outside [0, n), raises ValueError."""
+    edges = list(edges)
+    if set(map(len, edges)) - {2}:
+        raise ValueError("every edge must be a (u, v) pair")
+    try:
+        flat = np.fromiter(itertools.chain.from_iterable(edges), np.intp, 2 * len(edges))
+    except OverflowError:  # an end beyond intp; reported as out of range below
+        flat = np.array([int(x) for x in itertools.chain.from_iterable(edges)], dtype=object)
+    u, v = flat[0::2], flat[1::2]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    bad = (lo < 0) | (hi >= n) | (lo == hi)
+    if np.count_nonzero(bad):
+        k = int(np.argmax(bad))
+        u, v = int(u[k]), int(v[k])
+        if u == v:
+            raise ValueError(f"self-loop ({u},{v}) not allowed")
+        raise ValueError(f"edge ({u},{v}) out of range for {n} nodes")
+    key = lo * n + hi
+    if np.count_nonzero(key[1:] <= key[:-1]):  # unsorted or repeated
+        key = np.sort(key)
+        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+        lo, hi = np.divmod(key, n)
+    return lo, hi
+
+
 class Graph(_MessageGraph):
     """Undirected graph with per-node feature vectors and an optional target.
 
     Edges are normalized to sorted (u, v) pairs with u < v, deduplicated,
     and kept in sorted order, so two equal graphs compare equal
-    structurally. Instances are immutable by convention.
+    structurally; the message index and the triangle count read them as
+    the index arrays _ends = (u's, v's). Instances are immutable by
+    convention.
     """
 
     num_graphs = 1
 
     def __init__(self, num_nodes, edges, node_features, target=None):
         self.num_nodes = int(num_nodes)
-        seen = set()
-        norm = []
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop ({u},{v}) not allowed")
-            if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
-                raise ValueError(f"edge ({u},{v}) out of range for {self.num_nodes} nodes")
-            key = (min(u, v), max(u, v))
-            if key not in seen:
-                seen.add(key)
-                norm.append(key)
-        self.edges = sorted(norm)
+        self._ends = lo, hi = _edge_ends(edges, self.num_nodes)
+        self.edges = list(zip(lo.tolist(), hi.tolist()))
         feats = np.asarray(node_features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] != self.num_nodes:
             raise ValueError(
@@ -84,8 +103,7 @@ class Graph(_MessageGraph):
         follow the canonical sorted neighborhood (self included).
         """
         if self._msg is None:
-            flat = itertools.chain.from_iterable(self.edges)
-            u, v = np.fromiter(flat, np.intp, 2 * len(self.edges)).reshape(-1, 2).T
+            u, v = self._ends
             nodes = np.arange(self.num_nodes, dtype=np.intp)
             src = np.concatenate([u, v, nodes])
             dst = np.concatenate([v, u, nodes])
@@ -204,9 +222,8 @@ def count_triangles(graph):
     A is symmetric, so trace(A^3) is the sum of the entries of (A @ A) * A.
     """
     A = np.zeros((graph.num_nodes, graph.num_nodes), dtype=np.int64)
-    if graph.edges:
-        u, v = np.array(graph.edges).T
-        A[u, v] = A[v, u] = 1
+    u, v = graph._ends
+    A[u, v] = A[v, u] = 1
     return int(((A @ A) * A).sum()) // 6
 
 

@@ -424,10 +424,13 @@ def load_model(path):
     specs = [LayerSpec(**sp) for sp in manifest["layers"]]
     model = Model(specs, seed=manifest["seed"], head_dim=manifest["head_dim"],
                   readout_mode=manifest["readout_mode"])
-    raw = np.fromfile(f"{path}.bin", dtype="<f8")
-    offset = 0
     by_name = dict(model.named_params())
+    layout = []
     for entry in manifest["params"]:
+        if not (isinstance(entry, dict) and set(entry) == {"name", "shape"}
+                and isinstance(entry["name"], str) and isinstance(entry["shape"], list)):
+            raise ValueError(f"checkpoint parameter entry {entry!r} is not a name "
+                             f"and a shape list")
         name, shape = entry["name"], tuple(entry["shape"])
         if name not in by_name:
             raise ValueError(f"checkpoint parameter {name!r} is unknown or repeated "
@@ -436,11 +439,19 @@ def load_model(path):
         if shape != param.data.shape:
             raise ValueError(f"checkpoint parameter {name!r} has shape {list(shape)}, "
                              f"its layer spec gives {list(param.data.shape)}")
-        size = int(np.prod(shape))
-        param.data = raw[offset:offset + size].reshape(shape).copy()
-        offset += size
+        layout.append(param)
     if by_name:
         raise ValueError(f"checkpoint lacks parameters {sorted(by_name)}")
-    if offset != raw.size:
-        raise ValueError(f"parameter blob size mismatch: read {offset}, file has {raw.size}")
+    with open(f"{path}.bin", "rb") as fh:
+        blob = fh.read()
+    need = 8 * sum(param.data.size for param in layout)
+    if len(blob) != need:
+        raise ValueError(f"parameter blob has {len(blob)} bytes; the manifest's parameters "
+                         f"take {need}")
+    raw = np.frombuffer(blob, dtype="<f8")
+    offset = 0
+    for param in layout:
+        size = param.data.size
+        param.data = raw[offset:offset + size].reshape(param.data.shape).copy()
+        offset += size
     return model

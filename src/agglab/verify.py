@@ -222,18 +222,10 @@ def verify_stacked_intersections(trials=40, seed=0):
         f1, f2 = A.MatrixAggregator(M1), A.MatrixAggregator(M2)
         g1 = A.MatrixAggregator(np.vstack([M1, M1p]))
         g2 = A.MatrixAggregator(np.vstack([M2, M2p]))
-        ms1 = [m for m in A.enumerate_multisets(GRID, n1)]
-        ms2 = [m for m in A.enumerate_multisets(GRID, n2)]
-        base_pairs = set()
-        stacked_pairs = set()
-        for i, x1 in enumerate(ms1):
-            for j, x2 in enumerate(ms2):
-                if n1 == n2 and x1 == x2:
-                    continue
-                if A.output_distance(f1(x1), f2(x2)) < 1e-9:
-                    base_pairs.add((i, j))
-                if A.output_distance(g1(x1), g2(x2)) < 1e-9:
-                    stacked_pairs.add((i, j))
+        ms1 = list(A.enumerate_multisets(GRID, n1))
+        ms2 = list(A.enumerate_multisets(GRID, n2))
+        base_pairs = A.collision_set(f1, ms1, f2, ms2)
+        stacked_pairs = A.collision_set(g1, ms1, g2, ms2)
         if not stacked_pairs <= base_pairs:
             bad_i += 1
             witness = witness or (M1, M2)

@@ -1,7 +1,9 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agglab import analysis as A
 
@@ -290,3 +292,188 @@ def test_compare_strength_matches_the_pairwise_scan():
         assert res["verdict"] == expected[(first is not None, second is not None)]
         verdicts.add(res["verdict"])
     assert verdicts == {"incomparable", "stronger", "weaker", "equal"}
+
+
+# The pair-at-a-time loops the array passes replaced, kept as their oracles.
+
+def _separation_set_loop(agg, multisets, tol=A.COLLISION_TOL):
+    outs = [agg(m) for m in multisets]
+    return {(i, j) for i in range(len(outs)) for j in range(i + 1, len(outs))
+            if A.output_distance(outs[i], outs[j]) >= tol}
+
+
+def _collision_pairs_loop(agg1, ms1, agg2, ms2, tol=A.COLLISION_TOL):
+    """verify's prop2 double loop."""
+    pairs = set()
+    for i, x1 in enumerate(ms1):
+        for j, x2 in enumerate(ms2):
+            if x1.size == x2.size and x1 == x2:
+                continue
+            if A.output_distance(agg1(x1), agg2(x2)) < tol:
+                pairs.add((i, j))
+    return pairs
+
+
+def _collision_oracle_loop(agg1, agg2, grid, max_size=3, width=1, tol=A.COLLISION_TOL):
+    same = agg1 is agg2
+    cache = {}
+
+    def candidates(size):
+        if size not in cache:
+            cache[size] = [m for m in A.enumerate_multisets(grid, size, width)
+                           if not m.is_all_zero()]
+        return cache[size]
+
+    for k1, k2 in A._size_pairs(A._size_options(agg1, max_size),
+                                A._size_options(agg2, max_size)):
+        ms1, ms2 = candidates(k1), candidates(k2)
+        for i, x1 in enumerate(ms1):
+            out1 = agg1(x1)
+            start = i + 1 if (same and k1 == k2) else 0
+            for x2 in ms2[start:]:
+                if k1 == k2 and x1 == x2:
+                    continue
+                if A.output_distance(out1, agg2(x2)) < tol:
+                    return x1, x2
+    return None
+
+
+def _enumerate_multisets_loop(grid, size, width=1):
+    pool = [tuple(float(c) for c in combo) for combo in itertools.product(grid, repeat=width)]
+    for combo in itertools.combinations_with_replacement(pool, size):
+        yield A.MultisetSample(np.array(combo))
+
+
+def _near_tol_matrix(draw, n):
+    """A small-integer matrix (so grid multisets collide) plus a perturbation
+    that puts one colliding pair, if any, at a distance within 1e-3 (relative)
+    of COLLISION_TOL, on either side."""
+    s = draw(st.integers(1, 3))
+    M0 = np.array(draw(st.lists(st.integers(-1, 1), min_size=s * n, max_size=s * n)),
+                  dtype=np.float64).reshape(s, n)
+    R = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal((s, n))
+    ms = list(A.enumerate_multisets(GRID, n))
+    f0 = A.MatrixAggregator(M0)
+    collided = [(x1, x2) for x1, x2 in itertools.combinations(ms, 2)
+                if A.output_distance(f0(x1), f0(x2)) == 0.0]
+    if not collided:
+        return M0, ms
+    x1, x2 = collided[draw(st.integers(0, len(collided) - 1))]
+    gap = np.linalg.norm(R @ (x1.elements - x2.elements))
+    if gap == 0.0:
+        return M0, ms
+    rel = draw(st.floats(-1e-3, 1e-3))
+    return M0 + R * (A.COLLISION_TOL * (1.0 + rel) / gap), ms
+
+
+@st.composite
+def matrix_cases(draw):
+    n = draw(st.integers(1, 3))
+    return _near_tol_matrix(draw, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_cases(), st.sampled_from([A.BLOCK_ELEMS, 1, 7, 40]))
+def test_separation_set_matches_the_pair_loop_on_matrices(case, block):
+    M, ms = case
+    f = A.MatrixAggregator(M)
+    with mock.patch.object(A, "BLOCK_ELEMS", block):  # 1, 7, 40: many row blocks
+        assert A.separation_set(f, ms) == _separation_set_loop(f, ms)
+        assert A.collision_set(f, ms, f, ms) == _collision_pairs_loop(f, ms, f, ms)
+
+
+def test_a_pair_just_over_or_under_the_tolerance_keeps_its_side():
+    ms = [A.MultisetSample([0.0]), A.MultisetSample([1.0])]
+    for rel, separated in ((1e-3, True), (-1e-3, False), (1e-12, True), (-1e-12, False)):
+        f = A.MatrixAggregator([[A.COLLISION_TOL * (1.0 + rel)]])
+        assert A.separation_set(f, ms) == _separation_set_loop(f, ms) == (
+            {(0, 1)} if separated else set())
+
+
+def _mixed_shape_aggregator(scale):
+    # output width 1, 2 or 3 set by the elements' sum: pairs across widths
+    # are separated, pairs of one width collide when their sums match
+    return A.FunctionAggregator(
+        lambda e: np.full(1 + int(abs(e.sum())) % 3, scale * e.sum()), name="mixed")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=4, unique=True),
+       st.integers(1, 3), st.sampled_from([1.0, 1e-10, 3e-10]),
+       st.sampled_from([A.BLOCK_ELEMS, 1, 5]))
+def test_oracles_match_the_loops_on_mixed_output_shapes(grid, max_size, scale, block):
+    agg = _mixed_shape_aggregator(scale)
+    ms = [m for k in range(1, max_size + 1) for m in A.enumerate_multisets(grid, k)]
+    with mock.patch.object(A, "BLOCK_ELEMS", block):
+        assert A.separation_set(agg, ms) == _separation_set_loop(agg, ms)
+        assert A.collision_set(agg, ms, A.BasicAggregator("SUM"), ms) == \
+            _collision_pairs_loop(agg, ms, A.BasicAggregator("SUM"), ms)
+        assert A.collision_oracle(agg, agg, grid, max_size=max_size) == \
+            _collision_oracle_loop(agg, agg, grid, max_size=max_size)
+        assert A.collision_oracle(agg, SUM, grid, max_size=max_size) == \
+            _collision_oracle_loop(agg, SUM, grid, max_size=max_size)
+
+
+def test_empty_and_one_element_lists():
+    f = A.MatrixAggregator(np.ones((1, 2)))
+    one = [A.MultisetSample([1.0, 2.0])]
+    for agg in (f, SUM, _mixed_shape_aggregator(1.0)):
+        assert A.separation_set(agg, []) == set()
+        assert A.collision_set(agg, [], agg, []) == set()
+        assert A.collision_set(agg, one, agg, []) == set()
+        assert A.separation_set(agg, one) == set()
+        assert A.collision_set(agg, one, agg, one) == set()  # a multiset never collides with itself
+
+
+@st.composite
+def prop2_cases(draw):
+    n1, n2 = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    s = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    entries = (-1.0, 0.0, 1.0)
+    return rng.choice(entries, size=(s, n1)), rng.choice(entries, size=(s, n2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(prop2_cases())
+def test_collision_set_matches_the_prop2_loop(case):
+    M1, M2 = case
+    f1, f2 = A.MatrixAggregator(M1), A.MatrixAggregator(M2)
+    ms1 = list(A.enumerate_multisets(GRID, M1.shape[1]))
+    ms2 = list(A.enumerate_multisets(GRID, M2.shape[1]))
+    assert A.collision_set(f1, ms1, f2, ms2) == _collision_pairs_loop(f1, ms1, f2, ms2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_cases(), st.booleans())
+def test_collision_oracle_matches_the_loop_on_matrices(case, same):
+    M, _ = case
+    f = A.MatrixAggregator(M)
+    other = f if same else A.MatrixAggregator(M[:, ::-1])
+    n = M.shape[1]
+    assert A.collision_oracle(f, other, GRID, max_size=n) == \
+        _collision_oracle_loop(f, other, GRID, max_size=n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 2), st.integers(0, 2**16))
+def test_matrix_batch_carries_the_per_call_bits(n, s, width, seed):
+    rng = np.random.default_rng(seed)
+    f = A.MatrixAggregator(rng.standard_normal((s, n)) * 10.0 ** rng.uniform(-3, 3))
+    ms = list(A.enumerate_multisets(rng.standard_normal(3), n, width))
+    rows = f.batch(np.stack([m.elements for m in ms]))
+    assert [r.tobytes() for r in rows] == [f(m).tobytes() for m in ms]
+    with pytest.raises(ValueError, match="size"):
+        f.batch(np.zeros((2, n + 1, width)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([-1.0, 0.0, -0.0, 0.5, 2.0, 2.0]), min_size=0, max_size=4),
+       st.integers(1, 3), st.integers(1, 2))
+def test_enumerate_multisets_matches_the_per_combination_sort(grid, size, width):
+    # unsorted grids and repeated values keep the order and bits of the loop
+    new = [m.elements.tobytes() for m in A.enumerate_multisets(grid, size, width)]
+    old = [m.elements.tobytes() for m in _enumerate_multisets_loop(grid, size, width)]
+    assert new == old
+    with pytest.raises(ValueError, match="at least 1"):
+        next(A.enumerate_multisets(grid or [1.0], 0))

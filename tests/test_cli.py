@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,8 +7,23 @@ from agglab import cli
 from agglab import graphs as G
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 def run(argv):
     return cli.main(argv)
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["verify", "--suite", "all", "--seed", "0"], "verify_all_seed0.txt"),
+    (["verify", "--suite", "all", "--seed", "1"], "verify_all_seed1.txt"),
+    (["verify", "--suite", "all", "--seed", "2"], "verify_all_seed2.txt"),
+    (["compare-gat", "--trials", "5", "--seed", "3"], "compare_gat_trials5_seed3.txt"),
+])
+def test_stdout_matches_the_golden_bytes(argv, golden, capsys):
+    # suite counters, verdicts and witnesses, byte for byte as first recorded
+    assert run(argv) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
 
 
 def test_gen_data_regular_pair(tmp_path, capsys):

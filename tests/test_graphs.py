@@ -43,6 +43,49 @@ def test_graph_rejects_self_loops_and_bad_edges():
         G.Graph(3, [(0, 5)], np.ones((3, 1)))
 
 
+def _normalized_edges_loop(num_nodes, edges):
+    """The per-edge loop Graph.__init__ replaced."""
+    seen = set()
+    norm = []
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            raise ValueError(f"self-loop ({u},{v}) not allowed")
+        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+            raise ValueError(f"edge ({u},{v}) out of range for {num_nodes} nodes")
+        key = (min(u, v), max(u, v))
+        if key not in seen:
+            seen.add(key)
+            norm.append(key)
+    return sorted(norm)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6), st.lists(st.tuples(st.integers(-2, 8), st.integers(-2, 8)), max_size=25))
+@example(3, [(2, 1), (1, 2), (0, 1), (1, 0)])  # duplicates and reversed pairs
+@example(3, [(0, 1), (4, 4)])                  # a self-loop out of range: the self-loop check first
+@example(3, [(0, 7), (1, 1)])                  # the first offending edge is reported
+@example(3, [(0, 2**70)])                      # an end beyond intp
+def test_graph_edges_match_the_per_edge_loop(n, edges):
+    try:
+        expected = _normalized_edges_loop(n, edges)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            G.Graph(n, edges, np.ones((n, 1)))
+        assert str(raised.value) == str(exc)
+        return
+    g = G.Graph(n, edges, np.ones((n, 1)))
+    assert g.edges == expected
+    assert all(type(u) is int and type(v) is int for u, v in g.edges)
+    assert [e.tolist() for e in g._ends] == [[u for u, _ in expected], [v for _, v in expected]]
+
+
+def test_graph_rejects_an_edge_that_is_not_a_pair():
+    for edges in ([(0, 1, 2)], [(0,)], [(0, 1), (1,)]):
+        with pytest.raises(ValueError, match="pair"):
+            G.Graph(3, edges, np.ones((3, 1)))
+
+
 def test_graph_dedups_edges():
     g = G.Graph(3, [(0, 1), (1, 0), (0, 1)], np.ones((3, 1)))
     assert g.edges == [(0, 1)]

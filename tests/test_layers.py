@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agglab import analysis as A
 from agglab import graphs as G
@@ -536,6 +541,94 @@ def test_load_model_checks_the_manifest_against_the_specs(tmp_path):
     _rewrite_manifest(manifest, lambda params: params.pop())
     with pytest.raises(ValueError, match="lacks parameters.*head.b"):
         L.load_model(tmp_path / "ckpt")
+
+
+TRAINABLE_KINDS = [k for k in L.LAYER_KINDS if k not in L.INSPECTION_KINDS]
+
+
+@st.composite
+def checkpoint_models(draw):
+    """A model of one or two trainable layers whose parameters hold
+    arbitrary float64 bit patterns (NaNs, infinities, signed zeros)."""
+    d = draw(st.integers(1, 4))  # attention layers need d_in == d_out
+    specs = [L.LayerSpec(kind, d, d, s=draw(st.integers(1, 3)), heads=draw(st.integers(1, 2)),
+                         mlp_depth=draw(st.sampled_from([1, 2])),
+                         append=draw(st.sampled_from(["one", "one_and_invdeg"])))
+             for kind in draw(st.lists(st.sampled_from(TRAINABLE_KINDS), min_size=1, max_size=2))]
+    model = L.Model(specs, seed=draw(st.integers(0, 2**16)), head_dim=draw(st.integers(1, 3)))
+    for _, t in model.named_params():
+        bits = draw(st.lists(st.integers(0, 2**64 - 1), min_size=t.data.size,
+                             max_size=t.data.size))
+        t.data = np.array(bits, dtype=np.uint64).view(np.float64).reshape(t.data.shape)
+    return model
+
+
+@settings(max_examples=60, deadline=None)
+@given(checkpoint_models())
+def test_checkpoint_roundtrip_is_bitwise(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        L.save_model(model, Path(tmp) / "ckpt")
+        back = L.load_model(Path(tmp) / "ckpt")
+    assert back.specs == model.specs and back.head_dim == model.head_dim
+    assert [(n, t.data.shape, t.data.tobytes()) for n, t in back.named_params()] == \
+        [(n, t.data.shape, t.data.tobytes()) for n, t in model.named_params()]
+
+
+def _corrupt(ckpt, how, draw):
+    """Damage a saved checkpoint one way: the blob cut short or run long,
+    one parameter's shape edited, or one parameter name removed or repeated."""
+    blob_path, manifest_path = Path(f"{ckpt}.bin"), Path(f"{ckpt}.json")
+    blob = blob_path.read_bytes()
+    manifest = json.loads(manifest_path.read_text())
+    params = manifest["params"]
+    k = draw(st.integers(0, len(params) - 1))
+    if how == "truncate":
+        blob_path.write_bytes(blob[:len(blob) - draw(st.integers(1, len(blob)))])
+    elif how == "extend":
+        blob_path.write_bytes(blob + bytes(draw(st.integers(1, 17))))
+    elif how == "shape":
+        shape = params[k]["shape"]
+        if draw(st.booleans()) or not shape:
+            params[k]["shape"] = shape + [1]
+        else:
+            shape[draw(st.integers(0, len(shape) - 1))] += draw(st.integers(1, 3))
+    elif how == "remove":
+        params.pop(k)
+    else:  # repeat
+        params.insert(draw(st.integers(0, len(params))), dict(params[k]))
+    manifest_path.write_text(json.dumps(manifest))
+
+
+CORRUPTIONS = ["truncate", "extend", "shape", "remove", "repeat"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(checkpoint_models(), st.sampled_from(CORRUPTIONS), st.data())
+def test_a_corrupted_checkpoint_raises_value_error(model, how, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "ckpt"
+        L.save_model(model, ckpt)
+        _corrupt(ckpt, how, data.draw)
+        with pytest.raises(ValueError):
+            L.load_model(ckpt)
+
+
+@pytest.mark.parametrize("how", CORRUPTIONS)
+@settings(max_examples=5, deadline=None)
+@given(st.data())
+def test_a_corrupted_checkpoint_exits_1_through_the_cli(how, data):
+    from agglab import cli
+    argv = ["analyze-rank", "--count", "3", "--checkpoint"]
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "ckpt"
+        L.save_model(L.Model([L.LayerSpec("EXPC", 1, 3, s=2)]), ckpt)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv + [str(ckpt)]) == 0
+        _corrupt(ckpt, how, data.draw)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert cli.main(argv + [str(ckpt)]) == 1
+    assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
 
 
 def test_param_shapes_follow_equations():
