@@ -29,9 +29,11 @@ err1 = T.finite_diff_check(loss_fn, W1)
 err2 = T.finite_diff_check(loss_fn, W2)
 print(f"max rel. error vs central differences: W1 {err1:.2e}, W2 {err2:.2e}")
 
-# The column-stack operation and its exact inverse.
-X = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
-v = T.vec_stack(X)
-print("vec([[1,2],[3,4]]) =", v.data.ravel(), "(column-major)")
-back = T.vec_unstack(v, 2, 2)
-print("round-trip exact:", bool(np.array_equal(back.data, X.data)))
+# The expanding convolution's layout: expand_outer turns each row pair
+# (m, h) into vec(m h^T), the outer product flattened column-major.
+m = T.Tensor([[1.0, 2.0]])
+h = T.Tensor([[3.0, 4.0, 5.0]])
+row = T.expand_outer(m, h).data.ravel()
+print("vec(m h^T) for m=[1,2], h=[3,4,5]:", row, "(column-major)")
+print("equals np.outer(m, h) flattened in F order:",
+      bool(np.array_equal(row, np.outer(m.data, h.data).reshape(-1, order="F"))))

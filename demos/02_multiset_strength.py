@@ -9,12 +9,12 @@ MEAN = A.BasicAggregator("MEAN")
 both = A.combined(SUM, MEAN)
 
 m1, m2 = A.MultisetSample([1.0, 1.0]), A.MultisetSample([2.0])
-print(f"{m1} vs {m2}: SUM distance {A.multiset_distance_under(SUM, m1, m2)}, "
-      f"MEAN distance {A.multiset_distance_under(MEAN, m1, m2)}")
+print(f"{m1} vs {m2}: SUM distance {A.output_distance(SUM(m1), SUM(m2))}, "
+      f"MEAN distance {A.output_distance(MEAN(m1), MEAN(m2))}")
 
 m3, m4 = A.MultisetSample([1.0, 2.0]), A.MultisetSample([1.0, 1.0, 2.0, 2.0])
-print(f"{m3} vs {m4}: SUM distance {A.multiset_distance_under(SUM, m3, m4)}, "
-      f"MEAN distance {A.multiset_distance_under(MEAN, m3, m4)}")
+print(f"{m3} vs {m4}: SUM distance {A.output_distance(SUM(m3), SUM(m4))}, "
+      f"MEAN distance {A.output_distance(MEAN(m3), MEAN(m4))}")
 
 res = A.compare_strength(SUM, MEAN, [1.0, 2.0], max_size=4)
 print("SUM vs MEAN:", res["verdict"])

@@ -15,9 +15,9 @@ print("power-style 3x3 matrix injective:", A.is_injective_for_size(V))
 ones = np.ones((1, 3))
 print("SUM row injective on triples:", A.is_injective_for_size(ones))
 pair = A.kernel_collision(ones)
+f_ones = A.MatrixAggregator(ones)
 print("  kernel-built collision:", pair[0], "vs", pair[1],
-      "| image distance:",
-      A.multiset_distance_under(A.MatrixAggregator(ones), *pair))
+      "| image distance:", A.output_distance(f_ones(pair[0]), f_ones(pair[1])))
 
 # Stacking strictly helps iff the rank grows.
 M = np.array([[1.0, 1.0, 1.0]])

@@ -19,7 +19,8 @@ distance inf (output_distance), so such a pair is always separated and
 never collides. Within a shape group the Euclidean distances are computed
 in blocks of rows holding at most BLOCK_ELEMS output differences, so a
 list of n candidates never allocates n^2 * width numbers at once; a pair
-separates iff its distance is >= tol and collides iff it is < tol.
+separates iff its distance is >= COLLISION_TOL and collides iff it is
+below it: every oracle uses this one tolerance.
 """
 
 import itertools
@@ -32,7 +33,7 @@ __all__ = [
     "strictly_stronger_by_stack", "is_injective_for_size",
     "ranges_disjoint_certificate", "enumerate_multisets", "collision_oracle",
     "compare_strength", "rank_preservation_report",
-    "multiset_distance_under", "kernel_collision", "cross_kernel_collision",
+    "kernel_collision", "cross_kernel_collision",
     "separation_set", "collision_set",
 ]
 
@@ -72,9 +73,6 @@ class MultisetSample:
     @property
     def width(self):
         return self.elements.shape[1]
-
-    def key(self):
-        return tuple(map(tuple, self.elements))
 
     def is_all_zero(self):
         return bool(np.all(self.elements == 0.0))
@@ -211,21 +209,17 @@ class MatrixAggregator(Aggregator):
         return np.matmul(self.M, elements).transpose(0, 2, 1).reshape(len(elements), -1)
 
 
-def _svd_rank(sv, shape, tol=None):
+def _svd_rank(sv, shape):
     """numerical_rank's rule, on the singular values of a matrix of this shape."""
-    if tol is None:
-        tol = 1e-9 * max(shape) * (sv[0] if sv.size else 0.0)
-    if tol <= 0.0:
-        tol = 0.0
-    return int(np.sum(sv > tol))
+    return int(np.sum(sv > 1e-9 * max(shape) * (sv[0] if sv.size else 0.0)))
 
 
-def numerical_rank(M, tol=None):
-    """Singular values above tol; default tol = 1e-9 * max(s, n) * sigma_max."""
+def numerical_rank(M):
+    """Singular values above 1e-9 * max(s, n) * sigma_max."""
     M = np.asarray(M, dtype=np.float64)
     if M.size == 0:
         return 0
-    return _svd_rank(np.linalg.svd(M, compute_uv=False), M.shape, tol)
+    return _svd_rank(np.linalg.svd(M, compute_uv=False), M.shape)
 
 
 def output_distance(o1, o2):
@@ -292,11 +286,11 @@ def _size_pairs(sizes1, sizes2):
     return sorted(pairs, key=lambda p: (max(p), abs(p[0] - p[1]), p))
 
 
-def collision_oracle(agg1, agg2, grid, max_size=3, width=1, tol=COLLISION_TOL):
+def collision_oracle(agg1, agg2, grid, max_size=3):
     """First pair of distinct multisets with (near-)equal images, or None.
 
-    Exhaustive over multisets with elements from grid^width up to
-    max_size elements. All-zero multisets are skipped: every weighted
+    Exhaustive over multisets of scalars from grid, up to max_size
+    elements. All-zero multisets are skipped: every weighted
     aggregator maps them to zero, so they say nothing about injectivity
     or range overlap (see ranges_disjoint_certificate).
     """
@@ -308,13 +302,13 @@ def collision_oracle(agg1, agg2, grid, max_size=3, width=1, tol=COLLISION_TOL):
 
     def candidates(size):
         if size not in cache:
-            cache[size] = [m for m in enumerate_multisets(grid, size, width)
+            cache[size] = [m for m in enumerate_multisets(grid, size)
                            if not m.is_all_zero()]
         return cache[size]
 
     for k1, k2 in _size_pairs(_size_options(agg1, max_size), _size_options(agg2, max_size)):
         ms1, ms2 = candidates(k1), candidates(k2)
-        hits = collision_set(agg1, ms1, agg2, ms2, tol)
+        hits = collision_set(agg1, ms1, agg2, ms2)
         if hits:
             i, j = min(hits)  # the first pair a row-major scan meets
             return ms1[i], ms2[j]
@@ -340,9 +334,9 @@ def _output_groups(agg, multisets):
             for shape, (idx, rows) in groups.items()}
 
 
-def _hit_pairs(X, Y, test, tol, upper):
+def _hit_pairs(X, Y, test, upper):
     """Index arrays (i, j) of the rows of X (at least one) and Y whose
-    Euclidean distance d has test(d, tol); upper keeps j > i only (for Y
+    Euclidean distance d has test(d, COLLISION_TOL); upper keeps j > i only (for Y
     the same rows as X). Rows go in blocks holding at most BLOCK_ELEMS
     differences (one row at least)."""
     m = len(Y)
@@ -352,7 +346,7 @@ def _hit_pairs(X, Y, test, tol, upper):
         b = min(len(X), a + step)
         lo = a + 1 if upper else 0
         diff = X[a:b, None, :] - Y[None, lo:, :]
-        hit = test(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)), tol)
+        hit = test(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)), COLLISION_TOL)
         if upper:
             hit &= np.arange(lo, m) > np.arange(a, b)[:, None]
         i, j = np.nonzero(hit)
@@ -361,9 +355,10 @@ def _hit_pairs(X, Y, test, tol, upper):
     return np.concatenate(found_i), np.concatenate(found_j)
 
 
-def separation_set(agg, multisets, tol=COLLISION_TOL):
+def separation_set(agg, multisets):
     """Index pairs (i, j), i < j, the aggregator separates over a fixed
-    candidate list: output_distance(agg(multisets[i]), agg(multisets[j])) >= tol.
+    candidate list: output_distance(agg(multisets[i]), agg(multisets[j]))
+    >= COLLISION_TOL.
 
     The outputs are stacked once and grouped by shape. Every pair across
     two groups is separated (distance inf); within a group the distances
@@ -373,7 +368,7 @@ def separation_set(agg, multisets, tol=COLLISION_TOL):
     groups = list(_output_groups(agg, multisets).values())
     pairs = set()
     for g, (idx, rows) in enumerate(groups):
-        i, j = _hit_pairs(rows, rows, np.greater_equal, tol, upper=True)
+        i, j = _hit_pairs(rows, rows, np.greater_equal, upper=True)
         pairs.update(zip(idx[i].tolist(), idx[j].tolist()))
         for other, _ in groups[g + 1:]:
             a, b = np.meshgrid(idx, other, indexing="ij")
@@ -382,9 +377,10 @@ def separation_set(agg, multisets, tol=COLLISION_TOL):
     return pairs
 
 
-def collision_set(agg1, ms1, agg2, ms2, tol=COLLISION_TOL):
+def collision_set(agg1, ms1, agg2, ms2):
     """Index pairs (i, j) of two lists of MultisetSamples with
-    output_distance(agg1(ms1[i]), agg2(ms2[j])) < tol and ms1[i] != ms2[j].
+    output_distance(agg1(ms1[i]), agg2(ms2[j])) < COLLISION_TOL and
+    ms1[i] != ms2[j].
 
     Outputs are grouped by shape as in separation_set; only groups of one
     shape can collide. With the same aggregator and the same list on both
@@ -398,7 +394,7 @@ def collision_set(agg1, ms1, agg2, ms2, tol=COLLISION_TOL):
         if shape not in groups2:
             continue
         idx2, rows2 = groups2[shape]
-        i, j = _hit_pairs(rows1, rows2, np.less, tol, upper=same)
+        i, j = _hit_pairs(rows1, rows2, np.less, upper=same)
         a, b = idx1[i].tolist(), idx2[j].tolist()
         hits.update(zip(a, b))
         if same:
@@ -406,8 +402,9 @@ def collision_set(agg1, ms1, agg2, ms2, tol=COLLISION_TOL):
     return {(i, j) for i, j in hits if not ms1[i] == ms2[j]}
 
 
-def compare_strength(agg1, agg2, grid, max_size=3, width=1, tol=COLLISION_TOL):
-    """Classify the grid-restricted distinguishing-strength order.
+def compare_strength(agg1, agg2, grid, max_size=3):
+    """Classify the grid-restricted distinguishing-strength order over
+    multisets of scalars from grid.
 
     Returns a dict with 'verdict' in {stronger, weaker, equal,
     incomparable} plus a witness pair for each one-sided separation
@@ -419,9 +416,9 @@ def compare_strength(agg1, agg2, grid, max_size=3, width=1, tol=COLLISION_TOL):
     sizes = sorted(set(_size_options(agg1, max_size)) & set(_size_options(agg2, max_size)))
     if not sizes:
         return {"verdict": "incomparable", "only_first": None, "only_second": None}
-    multisets = [m for k in sizes for m in enumerate_multisets(grid, k, width)]
-    sep1 = separation_set(agg1, multisets, tol)
-    sep2 = separation_set(agg2, multisets, tol)
+    multisets = [m for k in sizes for m in enumerate_multisets(grid, k)]
+    sep1 = separation_set(agg1, multisets)
+    sep2 = separation_set(agg2, multisets)
 
     def first(pairs):
         # the least index pair is the first one a row-major scan meets
@@ -449,10 +446,6 @@ def rank_preservation_report(M, H):
     if M.shape[1] != H.shape[0]:
         raise ValueError(f"shape mismatch {M.shape} vs {H.shape}")
     return numerical_rank(M), numerical_rank(H), numerical_rank(M @ H)
-
-
-def multiset_distance_under(agg, x1, x2):
-    return output_distance(agg(x1), agg(x2))
 
 
 def _null_space(M):
@@ -484,7 +477,7 @@ def _is_sorted(v):
     return bool(np.all(np.diff(v) >= 0.0))
 
 
-def cross_kernel_collision(M1, M2, tol=COLLISION_TOL):
+def cross_kernel_collision(M1, M2):
     """Multisets x1 != x2 with f_M1(x1) == f_M2(x2), from ker([M1 -M2]).
 
     Returns None when the stacked system has a trivial kernel (the
@@ -512,6 +505,6 @@ def cross_kernel_collision(M1, M2, tol=COLLISION_TOL):
             continue
         x1 = MultisetSample(z[:n1])
         x2 = MultisetSample(z[n1:])
-        if (x1.size != x2.size or x1 != x2) and output_distance(f1(x1), f2(x2)) < tol:
+        if (x1.size != x2.size or x1 != x2) and output_distance(f1(x1), f2(x2)) < COLLISION_TOL:
             return x1, x2
     return None

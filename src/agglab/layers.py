@@ -59,19 +59,24 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.kind.startswith("GAT"):
-            if self.d_in != self.d_out:
-                raise ValueError("attention layers use square per-head weights: d_in == d_out")
-            if self.heads < 1:
-                raise ValueError("heads must be >= 1")
-        if self.kind.startswith("EXPC") and self.s < 1:
-            raise ValueError("expansion factor s must be >= 1")
+        for name in ("d_in", "d_out", "s", "heads"):
+            _check_count(name, getattr(self, name))
+        if type(self.re_sum) is not bool:
+            raise ValueError(f"re_sum must be a bool, got {self.re_sum!r}")
+        if self.kind.startswith("GAT") and self.d_in != self.d_out:
+            raise ValueError("attention layers use square per-head weights: d_in == d_out")
         if self.kind == "EXPC_THREE_STAGE":
             self.mlp_depth = 1  # the dimension-wise rearrangement assumes one layer
         if self.mlp_depth not in (1, 2):
             raise ValueError("mlp_depth must be 1 or 2")
         if self.append not in ("one", "one_and_invdeg"):
             raise ValueError(f"unknown append mode {self.append!r}")
+
+
+def _check_count(name, value):
+    """ValueError unless value is an int >= 1 (a bool is not)."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
 
 
 def _uniform(rng, shape, fan_in):
@@ -159,7 +164,7 @@ def gat_default_forward(params, graph, H, heads):
     total = None
     for k, HW in enumerate(_head_projections(params, H, heads)):
         pair = T.concat([T.gather_rows(HW, dst), T.gather_rows(HW, src)], axis=1)
-        logits = T.activation(T.matmul(pair, params[f"a{k}"]), "leakyrelu", alpha=0.2)
+        logits = T.activation(T.matmul(pair, params[f"a{k}"]), "leakyrelu")
         alpha = T.segment_softmax(logits, dst)
         head_out = T.scatter_add_rows(T.elementwise_mul(T.gather_rows(HW, src), alpha), dst)
         total = head_out if total is None else T.add(total, head_out)
@@ -175,7 +180,7 @@ def gat_expanding_forward(params, graph, H, heads):
     columns interleaved feature-major.
     """
     src, dst = graph.message_segments()
-    d = H.data.shape[1] if isinstance(H, T.Tensor) else H.shape[1]
+    d = H.data.shape[1]
     Hs = T.gather_rows(H, src)
     logit_cols = []
     for k, HW in enumerate(_head_projections(params, H, heads)):
@@ -185,7 +190,7 @@ def gat_expanding_forward(params, graph, H, heads):
                    T.matmul(T.gather_rows(HW, src), a_nbr))
         logit_cols.append(lt)
     logits = T.concat(logit_cols, axis=1)                      # (msgs, K)
-    alpha = T.segment_softmax(T.activation(logits, "leakyrelu", alpha=0.2), dst)
+    alpha = T.segment_softmax(T.activation(logits, "leakyrelu"), dst)
     expanded = T.expand_outer(alpha, Hs)                       # (msgs, d*K), j*K+k layout
     agg = T.scatter_add_rows(expanded, dst)
     # W_cat column j*K+k must be column j of W_k: interleave the stacked
@@ -196,7 +201,7 @@ def gat_expanding_forward(params, graph, H, heads):
     return T.activation(T.scale(T.matmul(agg, w_cat_t), 1.0 / heads), "relu")
 
 
-def expc_forward(params, graph, H, spec, bypass=None):
+def expc_forward(params, graph, H, spec):
     """Coefficient convolution: per-edge coefficient vectors m_uv weight
     the neighbor features before aggregation, as vec(m_uv h_u^T) for EXPC
     and EXPC_MULTIAGG (m_uv with constant rows appended) or m_uv ⊙ h_u
@@ -206,20 +211,14 @@ def expc_forward(params, graph, H, spec, bypass=None):
     nonlinearity acts ahead of the sum); re_sum=False sums the messages
     first and applies the MLP once. When all messages into a node are
     equal (constant node features, say), re_sum=True reduces to |N(v)|
-    times one MLP value. bypass substitutes fixed coefficients ("ones" or
-    "zeros") for the tanh generator — test plumbing only.
+    times one MLP value.
     """
     src, dst = graph.message_segments()
     Hd, Hs = T.gather_rows(H, dst), T.gather_rows(H, src)
-    if bypass is None:
-        # one expression: a forward without a tape frees its temporaries here, not at return
-        C = T.activation(T.add(
-            T.matmul(T.concat([Hd, Hs], axis=1), T.transpose(params["Wc"])),
-            T.transpose(params["bc"])), "tanh")
-    elif bypass in ("ones", "zeros"):
-        C = T.Tensor(np.full((len(dst.index), len(params["bc"].data)), float(bypass == "ones")))
-    else:
-        raise ValueError(f"unknown bypass {bypass!r}")
+    # one expression: a forward without a tape frees its temporaries here, not at return
+    C = T.activation(T.add(
+        T.matmul(T.concat([Hd, Hs], axis=1), T.transpose(params["Wc"])),
+        T.transpose(params["bc"])), "tanh")
     if spec.kind == "EXPC_MULTIAGG":
         extra = [T.Tensor(np.ones((len(dst.index), 1)))]
         if spec.append == "one_and_invdeg":
@@ -272,7 +271,7 @@ def expc_local_blocks(params, graph, H):
     generator: M_v is s x |N(v)| with one column per neighbor, H_v is
     |N(v)| x d. Their product is the node's aggregated block
     sum_u m_uv h_u^T, the object whose rank the layer preserves."""
-    Hd = H.data if isinstance(H, T.Tensor) else np.asarray(H, dtype=np.float64)
+    Hd = H.data
     Wc, bc = params["Wc"].data, params["bc"].data
     blocks = {}
     for v in range(graph.num_nodes):
@@ -323,6 +322,9 @@ class Model:
     """A stack of layers, layer-concatenated readout, and a linear head."""
 
     def __init__(self, specs, seed=0, head_dim=1, readout_mode="SUM"):
+        _check_count("head_dim", head_dim)
+        if readout_mode not in ("SUM", "MEAN"):
+            raise ValueError(f"unknown readout mode {readout_mode!r}")
         self.specs = list(specs)
         self.seed = seed
         self.head_dim = head_dim
@@ -404,9 +406,16 @@ def _check_manifest(manifest):
         if manifest[key] != written:
             raise ValueError(f"checkpoint manifest field {key!r} is {manifest[key]!r}; "
                              f"save_model writes {written!r}, the only layout read")
+    if type(manifest["seed"]) is not int:
+        raise ValueError(f"checkpoint manifest field 'seed' is {manifest['seed']!r}, not an int")
+    for key in ("layers", "params"):
+        if type(manifest[key]) is not list:
+            raise ValueError(f"checkpoint manifest field {key!r} is not a list")
     names = [f.name for f in fields(LayerSpec)]
     required = [f.name for f in fields(LayerSpec) if f.default is MISSING]
     for i, sp in enumerate(manifest["layers"]):
+        if type(sp) is not dict:
+            raise ValueError(f"checkpoint layer {i} spec is {sp!r}, not an object")
         bad = [f"unknown field {k!r}" for k in sp if k not in names]
         bad += [f"no field {k!r}" for k in required if k not in sp]
         if bad:

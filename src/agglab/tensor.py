@@ -25,8 +25,7 @@ import numpy as np
 
 __all__ = [
     "Tape", "Tensor", "Segments", "add", "sub", "scale", "elementwise_mul", "matmul",
-    "activation", "softmax_rows", "vec_stack", "vec_unstack",
-    "concat", "sum_all", "abs_", "log",
+    "activation", "softmax_rows", "concat", "sum_all", "abs_", "log",
     "gather_rows", "scatter_add_rows", "segment_softmax", "expand_outer",
     "transpose", "slice_rows", "finite_diff_check",
 ]
@@ -180,12 +179,10 @@ def matmul(a, b):
 _ACTIVATIONS = ("tanh", "relu", "leakyrelu", "sigmoid")
 
 
-def activation(x, kind, alpha=0.2):
-    """Elementwise nonlinearity. relu subgradient at 0 is taken as 0.
-
-    alpha is the negative-side slope for leakyrelu (0.2 by default, the
-    common attention-layer choice).
-    """
+def activation(x, kind):
+    """Elementwise nonlinearity. relu subgradient at 0 is taken as 0;
+    leakyrelu's negative-side slope is 0.2, the common attention-layer
+    choice."""
     x = _as_tensor(x)
     xd = x.data
     if kind == "tanh":
@@ -195,7 +192,7 @@ def activation(x, kind, alpha=0.2):
         mask = (xd > 0).astype(np.float64)
         return _make(xd * mask, [(x, lambda g: g * mask)])
     if kind == "leakyrelu":
-        slope = np.where(xd > 0, 1.0, alpha)
+        slope = np.where(xd > 0, 1.0, 0.2)
         return _make(xd * slope, [(x, lambda g: g * slope)])
     if kind == "sigmoid":
         y = 1.0 / (1.0 + np.exp(-np.clip(xd, -500, 500)))
@@ -217,29 +214,6 @@ def softmax_rows(x):
         return y * (g - dot)
 
     return _make(y, [(x, vjp)])
-
-
-def vec_stack(x):
-    """Column-stack a (s, d) matrix into a (s·d, 1) column vector.
-
-    Entry j·s + i of the result is x[i, j] (column-major), so the inverse
-    reshape is exact down to the bit.
-    """
-    x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ValueError(f"vec_stack: need 2-D input, got shape {x.data.shape}")
-    s, d = x.data.shape
-    y = x.data.reshape(s * d, 1, order="F")
-    return _make(y, [(x, lambda g: g.reshape(s, d, order="F"))])
-
-
-def vec_unstack(v, rows, cols):
-    """Inverse of vec_stack: (rows·cols, 1) column vector back to (rows, cols)."""
-    v = _as_tensor(v)
-    if v.data.size != rows * cols:
-        raise ValueError(f"vec_unstack: size {v.data.size} != {rows}x{cols}")
-    y = v.data.reshape(rows, cols, order="F")
-    return _make(y, [(v, lambda g: g.reshape(rows * cols, 1, order="F"))])
 
 
 def concat(tensors, axis=0):
@@ -363,7 +337,7 @@ def expand_outer(coeff, feats):
     """Batched vec(m·hᵀ): rows (k, s) x (k, d) -> (k, s·d).
 
     Output column j·s + i holds coeff[:, i] * feats[:, j], the column-major
-    flattening of each per-row outer product (matches vec_stack).
+    flattening of each per-row outer product.
     """
     coeff, feats = _as_tensor(coeff), _as_tensor(feats)
     cd, fd = coeff.data, feats.data
@@ -404,15 +378,17 @@ def slice_rows(x, lo, hi):
     return _make(x.data[lo:hi].copy(), [(x, vjp)])
 
 
-def finite_diff_check(f, theta, eps=1e-6):
-    """Max relative error between autodiff and central differences.
+FD_STEP = 1e-6  # central-difference step of finite_diff_check
+
+
+def finite_diff_check(f, theta):
+    """Max relative error between autodiff and central differences with
+    the fixed step FD_STEP.
 
     f() must rebuild its graph each call (typically on a fresh tape that
     watches theta), read theta.data, and return a scalar Tensor. The
     relative error per coordinate uses a max(1, |analytic|) denominator.
     """
-    if not (1e-8 <= eps <= 1e-4):
-        raise ValueError(f"eps {eps} outside [1e-8, 1e-4]")
     theta.zero_grad()
     loss = f()
     loss.tape.backward(loss)
@@ -422,12 +398,12 @@ def finite_diff_check(f, theta, eps=1e-6):
     worst = 0.0
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + eps
+        flat[i] = orig + FD_STEP
         f_plus = f().data.item()
-        flat[i] = orig - eps
+        flat[i] = orig - FD_STEP
         f_minus = f().data.item()
         flat[i] = orig
-        fd = (f_plus - f_minus) / (2.0 * eps)
+        fd = (f_plus - f_minus) / (2.0 * FD_STEP)
         an = analytic.ravel()[i]
         err = abs(fd - an) / max(1.0, abs(an))
         if err > worst:

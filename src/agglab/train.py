@@ -29,8 +29,8 @@ __all__ = [
     "TrainConfig", "Metrics", "TrainingDiverged", "adam_init", "adam_step",
     "step_lr", "graph_loss", "message_groups", "MESSAGE_BUDGET", "train",
     "evaluate", "constant_baseline_mae",
-    "triangle_model_specs", "pick_matched_width", "ablation_suite",
-    "ABLATION_FIELDS", "write_csv", "read_csv", "worker_count",
+    "triangle_model_specs", "pick_matched_width", "default_ablation_cells",
+    "ablation_suite", "ABLATION_FIELDS", "write_csv", "worker_count",
 ]
 
 ABLATION_FIELDS = ("model", "s", "re_sum", "seed", "test_mae", "median_test_mae")
@@ -56,6 +56,10 @@ class TrainConfig:
             raise ValueError("lr_decay must be in (0, 1]")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size!r}")
+        if self.lr_step_size < 1:
+            raise ValueError(f"lr_step_size must be >= 1, got {self.lr_step_size!r}")
         if self.loss not in ("MAE", "MSE", "cross_entropy"):
             raise ValueError(f"unknown loss {self.loss!r}")
 
@@ -183,6 +187,9 @@ def train(specs, dataset, config, head_dim=1):
             if not is_finite_number(target):
                 raise ValueError(f"{split} split: graph {i} has target {target!r}, "
                                  f"not a finite number")
+            if config.loss == "cross_entropy" and not (target >= 0 and float(target).is_integer()):
+                raise ValueError(f"{split} split: graph {i} has target {target!r}; "
+                                 f"cross_entropy needs a class index, an integer >= 0")
     train_graphs = dataset.subset("train")
     if not train_graphs:
         raise ValueError("empty train split")
@@ -281,11 +288,11 @@ def _specs_param_count(specs, head_dim=1):
     return model_param_count(Model(specs, seed=0, head_dim=head_dim))
 
 
-def pick_matched_width(kind, target_params, s=1, re_sum=True, n_layers=2,
-                       max_width=192):
-    """Width whose full-model parameter count comes closest to the target."""
+def pick_matched_width(kind, target_params, s=1, re_sum=True, n_layers=2):
+    """Width in 1..192 whose full-model parameter count comes closest to
+    the target."""
     best_w, best_gap = 1, float("inf")
-    for w in range(1, max_width + 1):
+    for w in range(1, 193):
         count = _specs_param_count(triangle_model_specs(kind, w, s=s, re_sum=re_sum,
                                                         n_layers=n_layers))
         gap = abs(count - target_params)
@@ -347,9 +354,9 @@ def worker_count():
     return os.cpu_count() or 1
 
 
-def ablation_suite(dataset, seeds, s_values=(4,), budget_width=12,
-                   config_kwargs=None, cells=None):
-    """Median test MAE per (model, s, re_sum) cell over the given seeds.
+def ablation_suite(dataset, seeds, cells, config_kwargs=None):
+    """Median test MAE per (model, s, re_sum) cell over the given seeds;
+    cells are rows of default_ablation_cells.
 
     Cells run in parallel across processes (capped by AGGLAB_THREADS);
     each run is independently seeded so the result does not depend on
@@ -359,8 +366,6 @@ def ablation_suite(dataset, seeds, s_values=(4,), budget_width=12,
     if len(seeds) < 3:
         raise ValueError("ablation needs at least 3 seeds for a stable median")
     config_kwargs = dict(config_kwargs or {})
-    if cells is None:
-        cells, _ = default_ablation_cells(budget_width=budget_width, s_values=s_values)
     jobs = [(cell, dataset, config_kwargs, seed) for cell in cells for seed in seeds]
     workers = min(worker_count(), len(jobs))
     if workers > 1:
@@ -391,11 +396,6 @@ def _fmt(value):
     if isinstance(value, bool):
         return str(int(value))
     return value
-
-
-def read_csv(path):
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
 
 
 def metrics_rows(label, s, re_sum, seed, metrics):

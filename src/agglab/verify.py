@@ -169,7 +169,7 @@ def verify_stacking_order(trials=100, seed=0):
             deficient += 1
             pair = A.kernel_collision(M)
             if (pair is not None and pair[0] != pair[1]
-                    and A.multiset_distance_under(f, *pair) < 1e-9):
+                    and A.output_distance(f(pair[0]), f(pair[1])) < 1e-9):
                 kernel_ok += 1
     detail["iii_cases"] = trials
     detail["iii_agreements"] = agree
@@ -333,10 +333,10 @@ def verify_composition_bounds(trials=20, seed=0):
     w1 = (A.MultisetSample([1.0, 1.0]), A.MultisetSample([2.0]))
     w2 = (A.MultisetSample([1.0, 2.0]), A.MultisetSample([1.0, 1.0, 2.0, 2.0]))
     witnesses_hold = (
-        A.multiset_distance_under(SUM, *w1) < 1e-9
-        and A.multiset_distance_under(both, *w1) > 1e-9
-        and A.multiset_distance_under(MEAN, *w2) < 1e-9
-        and A.multiset_distance_under(both, *w2) > 1e-9)
+        A.output_distance(SUM(w1[0]), SUM(w1[1])) < 1e-9
+        and A.output_distance(both(w1[0]), both(w1[1])) > 1e-9
+        and A.output_distance(MEAN(w2[0]), MEAN(w2[1])) < 1e-9
+        and A.output_distance(both(w2[0]), both(w2[1])) > 1e-9)
     detail["ii_verdicts"] = [verdict_sum, verdict_mean]
     detail["ii_witnesses_hold"] = witnesses_hold
 

@@ -122,11 +122,11 @@ def test_compare_strength_sum_vs_mean():
     assert res["only_first"] is not None and res["only_second"] is not None
     # the stated witnesses demonstrate both directions
     m1, m2 = A.MultisetSample([1.0, 1.0]), A.MultisetSample([2.0])
-    assert A.multiset_distance_under(SUM, m1, m2) < 1e-9
-    assert A.multiset_distance_under(MEAN, m1, m2) > 1e-9
+    assert A.output_distance(SUM(m1), SUM(m2)) < 1e-9
+    assert A.output_distance(MEAN(m1), MEAN(m2)) > 1e-9
     m3, m4 = A.MultisetSample([1.0, 2.0]), A.MultisetSample([1.0, 1.0, 2.0, 2.0])
-    assert A.multiset_distance_under(SUM, m3, m4) > 1e-9
-    assert A.multiset_distance_under(MEAN, m3, m4) < 1e-9
+    assert A.output_distance(SUM(m3), SUM(m4)) > 1e-9
+    assert A.output_distance(MEAN(m3), MEAN(m4)) < 1e-9
 
 
 def test_compare_strength_combined_beats_parts():
@@ -180,13 +180,13 @@ def test_rank_product_bounded_by_min():
         assert rp <= min(rm, rh)
 
 
-def test_multiset_distance_under():
+def test_output_distance_of_aggregated_multisets():
     m = A.MultisetSample([1.0, 2.0])
-    assert A.multiset_distance_under(SUM, m, A.MultisetSample([2.0, 1.0])) == 0.0
-    assert A.multiset_distance_under(SUM, A.MultisetSample([0.0, 2.0]),
-                                     A.MultisetSample([1.0, 1.0])) == 0.0
-    assert A.multiset_distance_under(MEAN, A.MultisetSample([1.0, 1.0]),
-                                     A.MultisetSample([2.0])) == 1.0
+    assert A.output_distance(SUM(m), SUM(A.MultisetSample([2.0, 1.0]))) == 0.0
+    assert A.output_distance(SUM(A.MultisetSample([0.0, 2.0])),
+                             SUM(A.MultisetSample([1.0, 1.0]))) == 0.0
+    assert A.output_distance(MEAN(A.MultisetSample([1.0, 1.0])),
+                             MEAN(A.MultisetSample([2.0]))) == 1.0
 
 
 def test_kernel_collision_construction():
@@ -199,7 +199,8 @@ def test_kernel_collision_construction():
         assert pair is not None
         x1, x2 = pair
         assert x1 != x2
-        assert A.multiset_distance_under(A.MatrixAggregator(M), x1, x2) < 1e-9
+        f = A.MatrixAggregator(M)
+        assert A.output_distance(f(x1), f(x2)) < 1e-9
     assert A.kernel_collision(np.eye(3)) is None
 
 

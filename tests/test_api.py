@@ -40,10 +40,15 @@ def _agglab_references(tree):
     return refs
 
 
-def test_every_agglab_name_perfbench_reads_exists():
+def _perfbench_references():
     refs = set()
     for path in sorted(PERFBENCH.glob("*.py")):
         refs |= _agglab_references(ast.parse(path.read_text()))
+    return refs
+
+
+def test_every_agglab_name_perfbench_reads_exists():
+    refs = _perfbench_references()
     assert any(chain == ("run_suite",) for _, chain in refs)  # the scan sees the benchmark
     missing = []
     for module, chain in sorted(refs):
@@ -54,6 +59,12 @@ def test_every_agglab_name_perfbench_reads_exists():
                 break
             obj = getattr(obj, attr)
     assert missing == []
+
+
+def test_every_agglab_name_perfbench_reads_is_exported():
+    unexported = sorted(f"{module}.{chain[0]}" for module, chain in _perfbench_references()
+                        if chain[0] not in importlib.import_module(module).__all__)
+    assert unexported == []
 
 
 def test_every_entry_point_perfbench_wraps_exists():

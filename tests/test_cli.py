@@ -276,3 +276,55 @@ def test_train_rejects_a_target_that_is_not_a_finite_number(target, tmp_path, ca
     err = capsys.readouterr().err
     assert "line 4: target" in err and "not a finite number" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--batch-size", "-3"], "batch_size"),
+    (["--batch-size", "0"], "batch_size"),
+    (["--lr-step", "0"], "lr_step_size"),
+    (["--lr-step", "-1"], "lr_step_size"),
+    (["--width", "0"], "d_out"),
+], ids=lambda v: "=".join(v) if isinstance(v, list) else v)
+def test_train_rejects_a_flag_that_trains_nothing_or_trains_wrong(flags, field, capsys):
+    # a negative batch size trained no batch and a negative step raised the rate
+    assert run(["train", "--epochs", "1", "--count", "10", "--nodes", "5"] + flags) == 1
+    captured = capsys.readouterr()
+    assert field in captured.err and "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1 and "final train loss" not in captured.out
+
+
+@pytest.mark.parametrize("target", ["-1", "2.5"])
+def test_cross_entropy_rejects_a_target_that_is_not_a_class_index(target, tmp_path, capsys):
+    # -1 trained as the last class and 2.5 as class 2
+    data = tmp_path / "d.jsonl"
+    assert run(["gen-data", "--count", "10", "--nodes", "5", "--out", str(data)]) == 0
+    lines = data.read_text().splitlines()
+    lines[3] = lines[3].rsplit('"target": ', 1)[0] + f'"target": {target}}}'
+    data.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["train", "--data", str(data), "--epochs", "1", "--loss", "cross_entropy"]) == 1
+    err = capsys.readouterr().err
+    assert f"graph 3 has target {target};" in err and "class index" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert run(["train", "--data", str(data), "--epochs", "1"]) == 0  # a fine MAE target
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda m: m.update(layers=[5]), "layer 0 spec is 5"),
+    (lambda m: m.update(params=5), "'params' is not a list"),
+    (lambda m: m.update(seed="x"), "'seed' is 'x'"),
+    (lambda m: m["layers"][0].update(d_out="3"), "d_out must be an int"),
+    (lambda m: m.update(readout_mode="FOO"), "readout mode 'FOO'"),
+    (lambda m: m.update(head_dim=0), "head_dim must be an int"),
+    (lambda m: m["layers"][0].update(re_sum=1), "re_sum must be a bool"),
+], ids=["layers", "params", "seed", "d_out", "readout_mode", "head_dim", "re_sum"])
+def test_a_manifest_field_of_the_wrong_type_is_rejected(edit, field, tmp_path, capsys):
+    from agglab import layers as L
+    ckpt = tmp_path / "ckpt"
+    L.save_model(L.Model([L.LayerSpec("EXPC", 1, 3, s=2)]), ckpt)
+    manifest = json.loads((tmp_path / "ckpt.json").read_text())
+    edit(manifest)
+    (tmp_path / "ckpt.json").write_text(json.dumps(manifest))
+    assert run(["analyze-rank", "--checkpoint", str(ckpt), "--count", "5"]) == 1
+    err = capsys.readouterr().err
+    assert field in err and err.count("\n") == 1 and "Traceback" not in err

@@ -23,6 +23,14 @@ def er_graph(seed, n=8, p=0.4, d=1):
     return g
 
 
+def fixed_coefficients(params, value):
+    """params with the tanh coefficient generator pinned to a constant:
+    Wc = 0, and bc = 20 for "ones" (np.tanh(20.0) is exactly 1.0) or
+    bc = 0 for "zeros"."""
+    return dict(params, Wc=T.Tensor(np.zeros_like(params["Wc"].data)),
+                bc=T.Tensor(np.full_like(params["bc"].data, 20.0 if value == "ones" else 0.0)))
+
+
 def set_identity_mlp(params, d):
     params["W1"].data = np.eye(d)
     params["b1"].data = np.zeros((d, 1))
@@ -53,6 +61,29 @@ def test_layer_spec_validation():
     with pytest.raises(ValueError, match="s must be"):
         L.LayerSpec("EXPC", 3, 4, s=0)
     assert L.LayerSpec("EXPC_THREE_STAGE", 3, 4, s=2, mlp_depth=2).mlp_depth == 1
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(d_in=0), "d_in must be an int >= 1"),
+    (dict(d_out="3"), "d_out must be an int >= 1"),
+    (dict(d_out=True), "d_out must be an int >= 1"),
+    (dict(s=2.0), "s must be an int >= 1"),
+    (dict(heads=0), "heads must be an int >= 1"),
+    (dict(re_sum=1), "re_sum must be a bool"),
+])
+def test_layer_spec_rejects_a_width_or_flag_of_the_wrong_type(kw, message):
+    for kind in ("GCN", "EXPC"):
+        with pytest.raises(ValueError, match=message):
+            L.LayerSpec(**{"kind": kind, "d_in": 3, "d_out": 3, **kw})
+
+
+def test_model_rejects_an_unknown_readout_or_a_bad_head_dim():
+    specs = [L.LayerSpec("GCN", 1, 2)]
+    with pytest.raises(ValueError, match="readout mode 'FOO'"):
+        L.Model(specs, readout_mode="FOO")
+    for head_dim in (0, 1.0, False):
+        with pytest.raises(ValueError, match="head_dim must be an int >= 1"):
+            L.Model(specs, head_dim=head_dim)
 
 
 def test_gcn_isolated_node_identity():
@@ -164,7 +195,8 @@ def test_expc_bypass_ones_identity_mlp_reduces_to_sum():
     params = L.init_layer_params(spec, np.random.default_rng(8))
     params["W1"].data = np.eye(3)
     params["b1"].data = np.ones((3, 1)) * 10.0  # keep relu inactive-free
-    out = L.expc_forward(params, g, T.Tensor(g.node_features), spec, bypass="ones")
+    params = fixed_coefficients(params, "ones")
+    out = L.expc_forward(params, g, T.Tensor(g.node_features), spec)
     src, dst = g.message_index()
     sums = np.zeros((6, 3))
     np.add.at(sums, dst, g.node_features[src])
@@ -272,7 +304,8 @@ def test_combc_bypass_ones_identity_mlp_is_sum():
     params = L.init_layer_params(spec, np.random.default_rng(13))
     params["W1"].data = np.eye(3)
     params["b1"].data = np.full((3, 1), 10.0)
-    out = L.expc_forward(params, g, T.Tensor(g.node_features), spec, bypass="ones")
+    params = fixed_coefficients(params, "ones")
+    out = L.expc_forward(params, g, T.Tensor(g.node_features), spec)
     src, dst = g.message_index()
     sums = np.zeros((6, 3))
     np.add.at(sums, dst, g.node_features[src])
@@ -311,17 +344,13 @@ def _combc_init_before_merge(spec, rng):
     return p
 
 
-def _combc_forward_before_merge(params, graph, H, spec, bypass=None):
+def _combc_forward_before_merge(params, graph, H, spec):
     """COMBC's own forward from before the merge, op for op."""
     src, dst = graph.message_segments()
     Hd, Hs = T.gather_rows(H, dst), T.gather_rows(H, src)
-    if bypass is None:
-        pair = T.concat([Hd, Hs], axis=1)
-        pre = T.add(T.matmul(pair, T.transpose(params["Wc"])), T.transpose(params["bc"]))
-        C = T.activation(pre, "tanh")
-    else:
-        shape = (Hd.data.shape[0], params["Wc"].data.shape[0])
-        C = T.Tensor(np.ones(shape) if bypass == "ones" else np.zeros(shape))
+    pair = T.concat([Hd, Hs], axis=1)
+    pre = T.add(T.matmul(pair, T.transpose(params["Wc"])), T.transpose(params["bc"]))
+    C = T.activation(pre, "tanh")
     msgs = T.elementwise_mul(C, Hs)
     if spec.re_sum:
         return T.scatter_add_rows(L._mlp(params, msgs, spec.mlp_depth), dst)
@@ -330,8 +359,8 @@ def _combc_forward_before_merge(params, graph, H, spec, bypass=None):
 
 @pytest.mark.parametrize("re_sum", [True, False])
 @pytest.mark.parametrize("mlp_depth", [1, 2])
-@pytest.mark.parametrize("bypass", [None, "ones", "zeros"])
-def test_combc_merged_body_is_bitwise_the_old_route(re_sum, mlp_depth, bypass):
+@pytest.mark.parametrize("coeffs", [None, "ones", "zeros"])
+def test_combc_merged_body_is_bitwise_the_old_route(re_sum, mlp_depth, coeffs):
     for seed in range(5):
         g = er_graph(40 + seed, n=7, d=3)
         spec = L.LayerSpec("COMBC", 3, 4, re_sum=re_sum, mlp_depth=mlp_depth)
@@ -339,11 +368,13 @@ def test_combc_merged_body_is_bitwise_the_old_route(re_sum, mlp_depth, bypass):
         for init, forward in ((L.init_layer_params, L.expc_forward),
                               (_combc_init_before_merge, _combc_forward_before_merge)):
             params = init(spec, np.random.default_rng(seed))
+            if coeffs is not None:
+                params = fixed_coefficients(params, coeffs)
             tape = T.Tape()
             H = tape.param(g.node_features)
             for t in params.values():
                 tape.watch(t)
-            out = forward(params, g, H, spec, bypass=bypass)
+            out = forward(params, g, H, spec)
             tape.backward(T.sum_all(T.elementwise_mul(out, out)))
             runs.append([out.data, H.grad] + [a for name in sorted(params)
                                               for a in (params[name].data, params[name].grad)])
@@ -353,6 +384,54 @@ def test_combc_merged_body_is_bitwise_the_old_route(re_sum, mlp_depth, bypass):
             assert (a is None and b is None) or np.array_equal(a, b)
 
 
+def _expc_forward_with_bypass(params, graph, H, spec, bypass):
+    """expc_forward's former bypass route, op for op: constant
+    coefficients ("ones" or "zeros") in place of the tanh generator. The
+    oracle of fixed_coefficients."""
+    src, dst = graph.message_segments()
+    Hs = T.gather_rows(H, src)
+    C = T.Tensor(np.full((len(dst.index), len(params["bc"].data)), float(bypass == "ones")))
+    if spec.kind == "EXPC_MULTIAGG":
+        extra = [T.Tensor(np.ones((len(dst.index), 1)))]
+        if spec.append == "one_and_invdeg":
+            extra.append(T.Tensor(1.0 / (graph.degrees() + 1.0)[dst.index, None]))
+        C = T.concat([C] + extra, axis=1)
+    msgs = T.elementwise_mul(C, Hs) if spec.kind == "COMBC" else T.expand_outer(C, Hs)
+    if spec.re_sum:
+        return T.scatter_add_rows(L._mlp(params, msgs, spec.mlp_depth), dst)
+    return L._mlp(params, T.scatter_add_rows(msgs, dst), spec.mlp_depth)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(kind="EXPC", s=3), dict(kind="COMBC"),
+    dict(kind="EXPC_MULTIAGG", s=2), dict(kind="EXPC_MULTIAGG", s=1, append="one_and_invdeg"),
+], ids=lambda kw: "-".join(str(v) for v in kw.values()))
+@pytest.mark.parametrize("re_sum", [True, False])
+@pytest.mark.parametrize("mlp_depth", [1, 2])
+@pytest.mark.parametrize("bypass", ["ones", "zeros"])
+def test_fixed_coefficient_parameters_are_bitwise_the_bypass(kw, re_sum, mlp_depth, bypass):
+    """The forward and the MLP gradients of expc_forward on pinned
+    generator parameters equal the bypass route's bit for bit."""
+    for seed in range(5):
+        g = er_graph(60 + seed, n=7, d=3)
+        spec = L.LayerSpec(d_in=3, d_out=4, re_sum=re_sum, mlp_depth=mlp_depth, **kw)
+        params = fixed_coefficients(L.init_layer_params(spec, np.random.default_rng(seed)),
+                                    bypass)
+        runs = []
+        for forward in (L.expc_forward,
+                        lambda *a: _expc_forward_with_bypass(*a, bypass=bypass)):
+            tape = T.Tape()
+            for t in params.values():
+                t.zero_grad()
+                tape.watch(t)
+            out = forward(params, g, T.Tensor(g.node_features), spec)
+            tape.backward(T.sum_all(T.elementwise_mul(out, out)))
+            runs.append([out.data] + [params[name].grad for name in sorted(params)
+                                      if name not in ("Wc", "bc")])
+        for a, b in zip(*runs):
+            assert a.tobytes() == b.tobytes()
+
+
 def test_multiagg_zero_bypass_recovers_sum_and_mean_channels():
     g = er_graph(15, n=6, d=2)
     spec = L.LayerSpec("EXPC_MULTIAGG", 2, 6, s=1, append="one_and_invdeg", mlp_depth=1)
@@ -360,7 +439,8 @@ def test_multiagg_zero_bypass_recovers_sum_and_mean_channels():
     # identity extraction with a large bias so relu stays in the linear region
     params["W1"].data = np.eye(6)
     params["b1"].data = np.full((6, 1), 100.0)
-    out = L.expc_forward(params, g, T.Tensor(g.node_features), spec, bypass="zeros")
+    params = fixed_coefficients(params, "zeros")
+    out = L.expc_forward(params, g, T.Tensor(g.node_features), spec)
     src, dst = g.message_index()
     counts = np.bincount(dst, minlength=6).astype(float)
     sums = np.zeros((6, 2))
@@ -459,7 +539,7 @@ def test_layer_gradients(spec):
                 tape.watch(t)
             out = L.layer_forward(spec, params, g, T.Tensor(H0))
             return T.sum_all(T.elementwise_mul(out, T.Tensor(w)))
-        err = T.finite_diff_check(f, theta, eps=1e-6)
+        err = T.finite_diff_check(f, theta)
         assert err < 1e-4, f"{spec.kind} {name}: rel err {err}"
 
 
@@ -484,7 +564,7 @@ def test_three_stage_gradient_via_shared_function():
             direct = L.expc_forward(params, g, T.Tensor(H0), spec)
             assert np.max(np.abs(direct.data - staged.data)) < 1e-10
             return T.sum_all(T.elementwise_mul(direct, T.Tensor(w)))
-        assert T.finite_diff_check(f, theta, eps=1e-6) < 1e-4
+        assert T.finite_diff_check(f, theta) < 1e-4
 
 
 def test_model_forward_and_checkpoint_roundtrip(tmp_path):

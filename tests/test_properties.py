@@ -32,12 +32,14 @@ def test_apply_agg_bitwise_permutation_invariant(case):
     assert np.array_equal(f(A.MultisetSample(X[perm])), f(A.MultisetSample(X)))
 
 
-@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**31 - 1))
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**31 - 1))
 @settings(max_examples=100, deadline=None)
-def test_vec_stack_roundtrip_any_shape(rows, cols, seed):
-    x = np.random.default_rng(seed).standard_normal((rows, cols))
-    back = T.vec_unstack(T.vec_stack(T.Tensor(x)), rows, cols)
-    assert back.data.tobytes() == x.tobytes()
+def test_expand_outer_is_the_column_major_vec_of_each_outer_product(k, s, d, seed):
+    rng = np.random.default_rng(seed)
+    m, h = rng.standard_normal((k, s)), rng.standard_normal((k, d))
+    out = T.expand_outer(T.Tensor(m), T.Tensor(h)).data
+    for e in range(k):
+        assert out[e].tobytes() == np.outer(m[e], h[e]).reshape(-1, order="F").tobytes()
 
 
 @given(st.lists(st.lists(floats.filter(lambda v: abs(v) <= 1e3),

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -187,15 +189,16 @@ def test_matched_widths_within_ten_percent():
 
 def test_ablation_suite_rows_and_csv_roundtrip(tmp_path):
     ds = tiny_dataset(30, seed=4)
-    rows = TR.ablation_suite(ds, seeds=[0, 1, 2], s_values=(2,), budget_width=4,
-                             config_kwargs=dict(epochs=2, lr=0.01))
+    cells, _ = TR.default_ablation_cells(budget_width=4, s_values=(2,))
+    rows = TR.ablation_suite(ds, [0, 1, 2], cells, config_kwargs=dict(epochs=2, lr=0.01))
     labels = {r["model"] for r in rows}
     assert {"ExpC*-1", "ExpC-1", "ExpC-2", "CombC*", "CombC", "GCN"} == labels
     assert all(np.isfinite(r["test_mae"]) for r in rows)
     assert all(np.isfinite(r["median_test_mae"]) for r in rows)
     path = tmp_path / "ablate.csv"
     TR.write_csv(rows, path, TR.ABLATION_FIELDS)
-    back = TR.read_csv(path)
+    with open(path, newline="") as fh:
+        back = list(csv.DictReader(fh))
     assert len(back) == len(rows)
     for orig, rec in zip(rows, back):
         assert rec["model"] == orig["model"]
@@ -203,9 +206,28 @@ def test_ablation_suite_rows_and_csv_roundtrip(tmp_path):
         assert float(rec["median_test_mae"]) == orig["median_test_mae"]
 
 
+@pytest.mark.parametrize("kw", [dict(batch_size=0), dict(batch_size=-3),
+                                dict(lr_step_size=0), dict(lr_step_size=-1)],
+                         ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_config_rejects_a_batch_size_or_step_below_one(kw):
+    name = next(iter(kw))
+    with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+        TR.TrainConfig(**kw)
+
+
+def test_only_cross_entropy_needs_class_index_targets():
+    ds = tiny_dataset(12, seed=3)
+    ds.graphs[ds.split["train"][0]].target = -1.5
+    with pytest.raises(ValueError, match="class index"):
+        TR.train(TR.triangle_model_specs("GCN", 2), ds,
+                 TR.TrainConfig(epochs=1, loss="cross_entropy"), head_dim=2)
+    _, metrics = TR.train(TR.triangle_model_specs("GCN", 2), ds, TR.TrainConfig(epochs=1))
+    assert np.isfinite(metrics.train_loss[0])
+
+
 def test_ablation_needs_three_seeds():
     with pytest.raises(ValueError, match="3 seeds"):
-        TR.ablation_suite(tiny_dataset(), seeds=[0, 1])
+        TR.ablation_suite(tiny_dataset(), [0, 1], TR.default_ablation_cells()[0])
 
 
 def test_metrics_rows_schema():
