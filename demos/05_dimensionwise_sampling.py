@@ -19,8 +19,7 @@ params = L.init_layer_params(spec, rng)
 H = T.Tensor(g.node_features)
 
 direct = L.expc_forward(params, g, H, spec)
-spec3 = L.LayerSpec("EXPC_THREE_STAGE", 3, 4, s=2)
-staged, report = L.expc_three_stage_forward(params, g, H, spec3)
+staged, report = L.expc_three_stage_forward(params, g, H)
 
 print("max abs deviation, direct vs staged:",
       np.max(np.abs(direct.data - staged)))

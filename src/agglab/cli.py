@@ -72,8 +72,7 @@ def cmd_verify(args):
 
 def cmd_compare_gat(args):
     _echo_config("compare-gat", args)
-    (res,) = V.run_suite("prop4", trials=args.trials, seed=args.seed,
-                         heads=args.heads, widths=args.widths)
+    res = V.verify_attention_two_routes(args.trials, args.seed, args.heads, args.widths)
     for K, d, dev in res["detail"]["deviations"]:
         print(f"heads={K} width={d}: {args.trials} trials, max abs deviation {dev:.3e}")
     ok = res["verdict"]
@@ -153,7 +152,7 @@ def cmd_analyze_rank(args):
     for li, (spec, params) in enumerate(zip(model.specs, model.layer_params)):
         if spec.kind in RANK_SKIPPED:
             print(f"layer {li} ({spec.kind}): skipped, {RANK_SKIPPED[spec.kind]}")
-        elif spec.kind in ("EXPC", "EXPC_THREE_STAGE"):
+        elif spec.kind == "EXPC":
             blocks = L.expc_local_blocks(params, graph, H)
             print(f"layer {li} ({spec.kind}, s={spec.s}): "
                   "node, rank(coefficients), rank(local features), rank(aggregate)")
@@ -164,8 +163,7 @@ def cmd_analyze_rank(args):
             reported = True
         H = L.layer_forward(spec, params, graph, H)
     if not reported:
-        print("error: checkpoint has no EXPC or EXPC_THREE_STAGE layer to report",
-              file=sys.stderr)
+        print("error: checkpoint has no EXPC layer to report", file=sys.stderr)
         return 1
     return 0
 

@@ -273,6 +273,9 @@ def gen_er_triangle_dataset(count, n_nodes=10, p=0.3, seed=0,
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
+    for name, value in (("count", count), ("n_nodes", n_nodes)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     rng = np.random.default_rng(seed)
     graphs = []
     for _ in range(count):
@@ -344,6 +347,24 @@ def save_graphs(dataset, path):
         json.dump(dataset.split, fh)
 
 
+def _check_field_types(rec):
+    """ValueError for a record field whose JSON type Graph would convert
+    into a different graph: num_nodes must be an int >= 0, every edge end
+    an int and every node feature a finite number (a bool is none of these)."""
+    n = rec["num_nodes"]
+    if type(n) is not int or n < 0:
+        raise ValueError(f"num_nodes {n!r} is not an int >= 0")
+    edges, feats = rec["edges"], rec["node_features"]
+    # other shapes of edges and features are Graph's to reject
+    for edge in edges if type(edges) is list else []:
+        if type(edge) is list and any(type(end) is not int for end in edge):
+            raise ValueError(f"edge {edge!r} has an end that is not an int")
+    for row in feats if type(feats) is list else []:
+        for x in row if type(row) is list else []:
+            if not is_finite_number(x):
+                raise ValueError(f"node feature {x!r} is not a finite number")
+
+
 def load_graphs(path):
     """Read a JSON-lines dataset; errors carry the 1-based line number."""
     graphs = []
@@ -357,6 +378,7 @@ def load_graphs(path):
             except json.JSONDecodeError as exc:
                 raise GraphFileError(f"line {lineno}: malformed JSON ({exc})") from exc
             try:
+                _check_field_types(rec)
                 g = Graph(rec["num_nodes"], rec["edges"], rec["node_features"],
                           target=rec.get("target"))
             except (KeyError, ValueError, TypeError) as exc:

@@ -41,7 +41,7 @@ __all__ = [
 LAYER_KINDS = ("GCN", "GIN0", "GAT_DEFAULT", "GAT_EXPANDING", "EXPC",
                "COMBC", "EXPC_THREE_STAGE", "EXPC_MULTIAGG")
 # Kinds computed in plain numpy, per node: no gradient flows through
-# them, so training rejects them.
+# them, so no Model holds them.
 INSPECTION_KINDS = ("EXPC_THREE_STAGE",)
 
 
@@ -230,7 +230,7 @@ def expc_forward(params, graph, H, spec):
     return _mlp(params, T.scatter_add_rows(msgs, dst), spec.mlp_depth)
 
 
-def expc_three_stage_forward(params, graph, H, spec):
+def expc_three_stage_forward(params, graph, H):
     """Dimension-wise route to the re_sum expanding convolution (1-layer MLP).
 
     For output dimension i, the active subset N_i(v) collects the
@@ -295,7 +295,7 @@ def layer_forward(spec, params, graph, H):
     if spec.kind in ("EXPC", "EXPC_MULTIAGG", "COMBC"):
         return expc_forward(params, graph, H, spec)
     if spec.kind == "EXPC_THREE_STAGE":
-        out, _ = expc_three_stage_forward(params, graph, H, spec)
+        out, _ = expc_three_stage_forward(params, graph, H)
         return T.Tensor(out)  # inspection route: no gradients through it
     raise ValueError(f"unknown layer kind {spec.kind!r}")
 
@@ -319,13 +319,21 @@ def readout(H_list, mode="SUM", segments=None):
 
 
 class Model:
-    """A stack of layers, layer-concatenated readout, and a linear head."""
+    """A stack of at least one layer, layer-concatenated readout, and a
+    linear head. The layers are trainable kinds: a kind of INSPECTION_KINDS
+    raises ValueError."""
 
     def __init__(self, specs, seed=0, head_dim=1, readout_mode="SUM"):
+        specs = list(specs)
+        if not specs:
+            raise ValueError("a model needs at least one layer spec")
+        for spec in specs:
+            if spec.kind in INSPECTION_KINDS:
+                raise ValueError(f"layer kind {spec.kind} has no autodiff and cannot be trained")
         _check_count("head_dim", head_dim)
         if readout_mode not in ("SUM", "MEAN"):
             raise ValueError(f"unknown readout mode {readout_mode!r}")
-        self.specs = list(specs)
+        self.specs = specs
         self.seed = seed
         self.head_dim = head_dim
         self.readout_mode = readout_mode

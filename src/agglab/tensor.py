@@ -6,7 +6,8 @@ the record once in reverse and accumulates vector-Jacobian products into
 the .grad buffers of the tensors that participated.
 
 Tensors created without a tape are constants: they can appear in any
-expression but never receive gradients.
+expression but never receive gradients. The ops take Tensor operands
+only; wrap an ndarray in Tensor to use it as a constant.
 
 The elementwise binary ops (add, sub, elementwise_mul) share one
 broadcasting rule: both operands have the same ndim, and an operand may
@@ -128,10 +129,6 @@ def _make(data, pairs):
     return out
 
 
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _elementwise(name, op, a, b, vjp_a, vjp_b):
     """op(a, b) under the broadcasting rule."""
     try:
@@ -144,24 +141,20 @@ def _elementwise(name, op, a, b, vjp_a, vjp_b):
 
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     return _elementwise("add", np.add, a, b, lambda g: g, lambda g: g)
 
 
 def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     return _elementwise("sub", np.subtract, a, b, lambda g: g, lambda g: -g)
 
 
 def scale(a, c):
     """Multiply by a python float constant."""
-    a = _as_tensor(a)
     c = float(c)
     return _make(a.data * c, [(a, lambda g: g * c)])
 
 
 def elementwise_mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = a.data, b.data
     return _elementwise("elementwise_mul", np.multiply, a, b,
                         lambda g: g * bd, lambda g: g * ad)
@@ -169,21 +162,19 @@ def elementwise_mul(a, b):
 
 def matmul(a, b):
     """Matrix product of 2-D tensors; backward is G·Bᵀ and Aᵀ·G."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul: shape mismatch {a.data.shape} vs {b.data.shape}")
     ad, bd = a.data, b.data
     return _make(ad @ bd, [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)])
 
 
-_ACTIVATIONS = ("tanh", "relu", "leakyrelu", "sigmoid")
+_ACTIVATIONS = ("tanh", "relu", "leakyrelu")
 
 
 def activation(x, kind):
     """Elementwise nonlinearity. relu subgradient at 0 is taken as 0;
     leakyrelu's negative-side slope is 0.2, the common attention-layer
     choice."""
-    x = _as_tensor(x)
     xd = x.data
     if kind == "tanh":
         y = np.tanh(xd)
@@ -194,15 +185,11 @@ def activation(x, kind):
     if kind == "leakyrelu":
         slope = np.where(xd > 0, 1.0, 0.2)
         return _make(xd * slope, [(x, lambda g: g * slope)])
-    if kind == "sigmoid":
-        y = 1.0 / (1.0 + np.exp(-np.clip(xd, -500, 500)))
-        return _make(y, [(x, lambda g: g * y * (1.0 - y))])
     raise ValueError(f"unknown activation kind {kind!r}, expected one of {_ACTIVATIONS}")
 
 
 def softmax_rows(x):
     """Row-wise softmax with max subtraction; each row sums to 1."""
-    x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ValueError(f"softmax_rows: need 2-D input, got shape {x.data.shape}")
     shifted = x.data - x.data.max(axis=1, keepdims=True)
@@ -218,7 +205,7 @@ def softmax_rows(x):
 
 def concat(tensors, axis=0):
     """Concatenate 2-D tensors along the given axis."""
-    tensors = [_as_tensor(t) for t in tensors]
+    tensors = list(tensors)
     if not tensors:
         raise ValueError("concat: empty input list")
     data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -235,7 +222,6 @@ def concat(tensors, axis=0):
 
 def sum_all(x):
     """Sum every entry into a (1, 1) scalar."""
-    x = _as_tensor(x)
     shape = x.data.shape
     y = np.array([[x.data.sum()]])
     return _make(y, [(x, lambda g: np.full(shape, g[0, 0]))])
@@ -243,14 +229,12 @@ def sum_all(x):
 
 def abs_(x):
     """Elementwise absolute value; subgradient at 0 is 0."""
-    x = _as_tensor(x)
     sign = np.sign(x.data)
     return _make(np.abs(x.data), [(x, lambda g: g * sign)])
 
 
 def log(x):
     """Elementwise natural log; caller guarantees positive entries."""
-    x = _as_tensor(x)
     xd = x.data
     return _make(np.log(xd), [(x, lambda g: g / xd)])
 
@@ -301,7 +285,6 @@ class Segments:
 def gather_rows(x, segs):
     """Select rows x[segs.index] through a Segments over the rows of x;
     backward sums the gradients of each source row."""
-    x = _as_tensor(x)
     if segs.num_segments != x.data.shape[0]:
         raise ValueError(f"gather_rows: {segs.num_segments} segments for {x.data.shape[0]} rows")
     return _make(x.data[segs.index], [(x, segs.sum)])
@@ -309,7 +292,6 @@ def gather_rows(x, segs):
 
 def scatter_add_rows(x, segs):
     """Sum the rows of x into one output row per segment of a Segments."""
-    x = _as_tensor(x)
     return _make(segs.sum(x.data), [(x, lambda g: g[segs.index])])
 
 
@@ -319,7 +301,6 @@ def segment_softmax(logits, segs):
     Each column is normalized independently over the rows of its segment,
     with per-segment max subtraction for stability.
     """
-    logits = _as_tensor(logits)
     idx = segs.index
     ld = logits.data
     if ld.ndim != 2:
@@ -339,7 +320,6 @@ def expand_outer(coeff, feats):
     Output column j·s + i holds coeff[:, i] * feats[:, j], the column-major
     flattening of each per-row outer product.
     """
-    coeff, feats = _as_tensor(coeff), _as_tensor(feats)
     cd, fd = coeff.data, feats.data
     if cd.ndim != 2 or fd.ndim != 2 or cd.shape[0] != fd.shape[0]:
         raise ValueError(f"expand_outer: shape mismatch {cd.shape} vs {fd.shape}")
@@ -357,7 +337,6 @@ def expand_outer(coeff, feats):
 
 
 def transpose(x):
-    x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ValueError(f"transpose: need 2-D input, got shape {x.data.shape}")
     return _make(x.data.T.copy(), [(x, lambda g: g.T)])
@@ -365,7 +344,6 @@ def transpose(x):
 
 def slice_rows(x, lo, hi):
     """Rows [lo, hi) of a 2-D tensor; backward pads the complement with zeros."""
-    x = _as_tensor(x)
     m = x.data.shape[0]
     if not 0 <= lo <= hi <= m:
         raise ValueError(f"slice_rows: [{lo}, {hi}) out of range for {m} rows")

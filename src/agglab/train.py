@@ -14,6 +14,7 @@ returned Metrics object and the run summary printed by the CLI.
 """
 
 import csv
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .graphs import GraphBatch, is_finite_number
-from .layers import INSPECTION_KINDS, LayerSpec, Model, model_param_count
+from .layers import LayerSpec, Model, model_param_count
 
 __all__ = [
     "TrainConfig", "Metrics", "TrainingDiverged", "adam_init", "adam_step",
@@ -50,8 +51,8 @@ class TrainConfig:
     readout: str = "SUM"
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be a finite number >= 0, got {self.lr!r}")
         if not 0 < self.lr_decay <= 1:
             raise ValueError("lr_decay must be in (0, 1]")
         if self.epochs < 1:
@@ -93,8 +94,9 @@ def adam_init(params):
     }
 
 
-def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(params, grads, state, lr):
     """Standard Adam update with bias correction; mutates params and state."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     state["t"] += 1
     t = state["t"]
     for i, (p, g) in enumerate(zip(params, grads)):
@@ -176,9 +178,6 @@ def train(specs, dataset, config, head_dim=1):
     every split needs a target.
     """
     t0 = time.perf_counter()
-    for spec in specs:
-        if spec.kind in INSPECTION_KINDS:
-            raise ValueError(f"layer kind {spec.kind} has no autodiff and cannot be trained")
     for split in ("train", "valid", "test"):
         for i in dataset.split[split]:
             target = dataset.graphs[i].target
@@ -284,8 +283,8 @@ def triangle_model_specs(kind, width, s=1, re_sum=True, n_layers=2, d_in=1):
     return specs
 
 
-def _specs_param_count(specs, head_dim=1):
-    return model_param_count(Model(specs, seed=0, head_dim=head_dim))
+def _specs_param_count(specs):
+    return model_param_count(Model(specs, seed=0))
 
 
 def pick_matched_width(kind, target_params, s=1, re_sum=True, n_layers=2):

@@ -6,7 +6,6 @@ witness is None on success; on failure it carries the counterexample.
 Suites are deterministic under the given seed.
 """
 
-import inspect
 import itertools
 
 import numpy as np
@@ -16,7 +15,7 @@ from . import layers as L
 from . import tensor as T
 from .graphs import random_featured_graph
 
-__all__ = ["run_suite", "SUITES"]
+__all__ = ["run_suite", "SUITES", "verify_attention_two_routes"]
 
 GRID = (-1.0, 0.0, 1.0, 2.0)
 
@@ -40,7 +39,14 @@ def _result(prop, verdict, detail, witness=None):
 def verify_attention_two_routes(trials=20, seed=0, heads=(1, 2, 4), widths=(4, 8)):
     """The per-head attention layer and its expanded-coefficient rewrite
     compute identical outputs for shared parameters (suite 'prop4');
-    detail["deviations"] has [heads, width, max abs deviation] per config."""
+    detail["deviations"] has [heads, width, max abs deviation] per config.
+    trials and every head count and width must be at least 1, so that no
+    run passes checking nothing."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    for flag, values in (("heads", heads), ("widths", widths)):
+        if not values or min(values) < 1:
+            raise ValueError(f"{flag} must be at least 1, got {list(values)}")
     rng = np.random.default_rng(seed)
     deviations = []
     for K in heads:
@@ -76,8 +82,7 @@ def verify_dimensionwise_rearrangement(trials=20, seed=0):
         params = L.init_layer_params(spec, rng)
         H = T.Tensor(g.node_features)
         direct = L.expc_forward(params, g, H, spec)
-        spec3 = L.LayerSpec("EXPC_THREE_STAGE", d_in, d_out, s=s)
-        staged, report = L.expc_three_stage_forward(params, g, H, spec3)
+        staged, report = L.expc_three_stage_forward(params, g, H)
         worst = max(worst, float(np.max(np.abs(direct.data - staged))))
         src, dst = g.message_index()
         pair = np.concatenate([H.data[dst], H.data[src]], axis=1)
@@ -96,9 +101,9 @@ def verify_dimensionwise_rearrangement(trials=20, seed=0):
                     "active_subset_mismatches": subset_mismatches})
 
 
-def _integer_rows(n, entries=(-1.0, 0.0, 1.0)):
+def _integer_rows(n):
     return [np.array(row, dtype=np.float64).reshape(1, n)
-            for row in itertools.product(entries, repeat=n)]
+            for row in itertools.product((-1.0, 0.0, 1.0), repeat=n)]
 
 
 def verify_stacking_order(trials=100, seed=0):
@@ -169,7 +174,7 @@ def verify_stacking_order(trials=100, seed=0):
             deficient += 1
             pair = A.kernel_collision(M)
             if (pair is not None and pair[0] != pair[1]
-                    and A.output_distance(f(pair[0]), f(pair[1])) < 1e-9):
+                    and A.output_distance(f(pair[0]), f(pair[1])) < A.COLLISION_TOL):
                 kernel_ok += 1
     detail["iii_cases"] = trials
     detail["iii_agreements"] = agree
@@ -283,7 +288,8 @@ def verify_disjoint_ranges(trials=50, seed=0):
         M2[:, -1] = (M1 @ t1 - M2[:, :-1] @ t2[:-1]) / t2[-1]
         pair = A.cross_kernel_collision(M1, M2)
         if pair is not None and A.output_distance(
-                A.MatrixAggregator(M1)(pair[0]), A.MatrixAggregator(M2)(pair[1])) < 1e-9:
+                A.MatrixAggregator(M1)(pair[0]),
+                A.MatrixAggregator(M2)(pair[1])) < A.COLLISION_TOL:
             deficient_found += 1
     verdict = (searched_clean == certified and trivial_kernel == certified
                and deficient_found == deficient_trials)
@@ -333,10 +339,10 @@ def verify_composition_bounds(trials=20, seed=0):
     w1 = (A.MultisetSample([1.0, 1.0]), A.MultisetSample([2.0]))
     w2 = (A.MultisetSample([1.0, 2.0]), A.MultisetSample([1.0, 1.0, 2.0, 2.0]))
     witnesses_hold = (
-        A.output_distance(SUM(w1[0]), SUM(w1[1])) < 1e-9
-        and A.output_distance(both(w1[0]), both(w1[1])) > 1e-9
-        and A.output_distance(MEAN(w2[0]), MEAN(w2[1])) < 1e-9
-        and A.output_distance(both(w2[0]), both(w2[1])) > 1e-9)
+        A.output_distance(SUM(w1[0]), SUM(w1[1])) < A.COLLISION_TOL
+        and A.output_distance(both(w1[0]), both(w1[1])) >= A.COLLISION_TOL
+        and A.output_distance(MEAN(w2[0]), MEAN(w2[1])) < A.COLLISION_TOL
+        and A.output_distance(both(w2[0]), both(w2[1])) >= A.COLLISION_TOL)
     detail["ii_verdicts"] = [verdict_sum, verdict_mean]
     detail["ii_witnesses_hold"] = witnesses_hold
 
@@ -397,26 +403,16 @@ SUITES = {
 }
 
 
-def run_suite(name, trials=None, seed=0, **params):
-    """Run one named suite (or 'all'); returns a list of result dicts.
-    params go to the suite (prop4 takes heads and widths); a parameter the
-    suite does not take is an error, also for 'all'. trials and every
-    params value must be at least 1, so that no run passes checking nothing."""
+def run_suite(name, trials=None, seed=0):
+    """Run one named suite (or 'all') at each suite's default trials, or at
+    trials, which must be at least 1 so that no run passes checking
+    nothing; returns a list of result dicts."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{sorted(SUITES) + ['all']}")
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    for flag in params:
-        takers = [n for n, suite in SUITES.items() if flag in inspect.signature(suite).parameters]
-        if name not in takers:
-            raise ValueError(f"suite {name!r} takes no parameter {flag!r}; "
-                             f"suites that take it: {takers or 'none'}")
-    for flag, values in params.items():
-        if not values or min(values) < 1:
-            raise ValueError(f"{flag} must be at least 1, got {list(values)}")
     if name == "all":
         return [run_suite(n, trials=trials, seed=seed)[0] for n in SUITES]
-    if trials is not None:
-        params["trials"] = trials
-    return [SUITES[name](seed=seed, **params)]
+    kwargs = {} if trials is None else {"trials": trials}
+    return [SUITES[name](seed=seed, **kwargs)]

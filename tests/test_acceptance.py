@@ -248,7 +248,6 @@ def test_criterion_09_gradient_correctness():
     # must match the direct route's analytic gradient (same function)
     for _ in range(5):
         spec = L.LayerSpec("EXPC", 2, 3, s=2, re_sum=True, mlp_depth=1)
-        spec3 = L.LayerSpec("EXPC_THREE_STAGE", 2, 3, s=2)
         g = G.random_featured_graph(rng, 5, 0.4, 2)
         params = L.init_layer_params(spec, rng)
         w = rng.standard_normal((5, 3))
@@ -257,7 +256,7 @@ def test_criterion_09_gradient_correctness():
                 tape = T.Tape()
                 for t in params.values():
                     tape.watch(t)
-                staged, _ = L.expc_three_stage_forward(params, g, T.Tensor(g.node_features), spec3)
+                staged, _ = L.expc_three_stage_forward(params, g, T.Tensor(g.node_features))
                 direct = L.expc_forward(params, g, T.Tensor(g.node_features), spec)
                 assert np.max(np.abs(direct.data - staged)) < 1e-10
                 return T.sum_all(T.elementwise_mul(direct, T.Tensor(w)))

@@ -125,10 +125,10 @@ def test_neighborhood_and_staged_route_on_a_batch_equal_the_per_graph_results():
     batch = G.GraphBatch(graphs)
     spec = L.LayerSpec("EXPC_THREE_STAGE", 2, 3, s=2)
     params = L.init_layer_params(spec, rng)
-    got, report = L.expc_three_stage_forward(params, batch, T.Tensor(batch.node_features), spec)
+    got, report = L.expc_three_stage_forward(params, batch, T.Tensor(batch.node_features))
     rows = []
     for g, off in zip(graphs, batch.node_offsets.tolist()):
-        out, want = L.expc_three_stage_forward(params, g, T.Tensor(g.node_features), spec)
+        out, want = L.expc_three_stage_forward(params, g, T.Tensor(g.node_features))
         rows.append(out)
         for v in range(g.num_nodes):
             assert G.neighborhood(batch, off + v) == [off + u for u in G.neighborhood(g, v)]

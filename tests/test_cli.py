@@ -284,13 +284,52 @@ def test_train_rejects_a_target_that_is_not_a_finite_number(target, tmp_path, ca
     (["--lr-step", "0"], "lr_step_size"),
     (["--lr-step", "-1"], "lr_step_size"),
     (["--width", "0"], "d_out"),
+    (["--lr", "nan"], "lr"),
+    (["--lr", "inf"], "lr"),
 ], ids=lambda v: "=".join(v) if isinstance(v, list) else v)
 def test_train_rejects_a_flag_that_trains_nothing_or_trains_wrong(flags, field, capsys):
-    # a negative batch size trained no batch and a negative step raised the rate
+    # a negative batch size trained no batch, a negative step raised the rate,
+    # and a non-finite rate trained to a NaN model with exit 0
     assert run(["train", "--epochs", "1", "--count", "10", "--nodes", "5"] + flags) == 1
     captured = capsys.readouterr()
     assert field in captured.err and "Traceback" not in captured.err
     assert captured.err.count("\n") == 1 and "final train loss" not in captured.out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ablate", "--n-layers", "0", "--seeds", "3", "--epochs", "1", "--count", "10"],
+     "a model needs at least one layer spec"),
+    (["gen-data", "--count", "-5"], "count must be >= 0, got -5"),
+    (["gen-data", "--count", "3", "--nodes", "-2"], "n_nodes must be >= 0, got -2"),
+], ids=["ablate--n-layers=0", "gen-data--count=-5", "gen-data--nodes=-2"])
+def test_a_size_below_the_minimum_fails_early_and_clearly(argv, message, tmp_path, capsys):
+    # ablate failed in readout after 192 empty models per cell; gen-data
+    # wrote an empty file for -5 graphs and numpy's message for -2 nodes
+    out = tmp_path / "d.jsonl"
+    if argv[0] == "gen-data":
+        argv = argv + ["--out", str(out)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("record", [
+    '{"num_nodes": 3.7, "edges": [], "node_features": [[1.0], [1.0], [1.0]], "target": 0}',
+    '{"num_nodes": 3, "edges": [[0, 1.9]], "node_features": [[1.0], [1.0], [1.0]], "target": 0}',
+    '{"num_nodes": 3, "edges": [], "node_features": [[1.0], [NaN], [1.0]], "target": 0}',
+], ids=["num_nodes", "edge", "node_feature"])
+def test_train_rejects_a_dataset_field_of_the_wrong_type(record, tmp_path, capsys):
+    data = tmp_path / "d.jsonl"
+    assert run(["gen-data", "--count", "10", "--nodes", "5", "--out", str(data)]) == 0
+    lines = data.read_text().splitlines()
+    lines[6] = record
+    data.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["train", "--data", str(data), "--epochs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 7: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("target", ["-1", "2.5"])

@@ -235,6 +235,33 @@ def test_load_rejects_a_target_that_is_not_a_finite_number(target, tmp_path):
         G.load_graphs(path)
 
 
+# Each value loaded at one time as a different graph: 3.7, "3" and true as
+# 3, 3 and 1 nodes, [0, 1.9] as the edge (0, 1), "1.5" and true as numbers.
+FIELDS_OF_THE_WRONG_TYPE = [
+    ("num_nodes", 3.7, "num_nodes 3.7 is not an int >= 0"),
+    ("num_nodes", "3", "num_nodes '3' is not an int >= 0"),
+    ("num_nodes", True, "num_nodes True is not an int >= 0"),
+    ("edges", [[0, 1.9]], r"edge \[0, 1.9\] has an end that is not an int"),
+    ("edges", [["0", "1"]], r"edge \['0', '1'\] has an end that is not an int"),
+    ("edges", [[False, True]], r"edge \[False, True\] has an end that is not an int"),
+    ("node_features", [["1.5"], [1.0], [1.0]], "node feature '1.5' is not a finite number"),
+    ("node_features", [[1.0], [True], [1.0]], "node feature True is not a finite number"),
+    ("node_features", [[1.0], [1.0], [math.nan]], "node feature nan is not a finite number"),
+    ("node_features", [[1.0], [math.inf], [1.0]], "node feature inf is not a finite number"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", FIELDS_OF_THE_WRONG_TYPE,
+                         ids=[f"{f}={json.dumps(v)}" for f, v, _ in FIELDS_OF_THE_WRONG_TYPE])
+def test_load_rejects_a_field_of_the_wrong_type(field, value, message, tmp_path):
+    path = tmp_path / "bad.jsonl"
+    good = {"num_nodes": 3, "edges": [[0, 1]], "node_features": [[1.0], [1.0], [1.0]],
+            "target": 0}
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+    with pytest.raises(G.GraphFileError, match=f"line 2: {message}"):
+        G.load_graphs(path)
+
+
 def test_load_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")

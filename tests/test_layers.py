@@ -246,7 +246,7 @@ def test_three_stage_relu_always_active_is_linear():
     spec = L.LayerSpec("EXPC_THREE_STAGE", 2, 3, s=2)
     params = L.init_layer_params(spec, rng)
     params["b1"].data = np.full((3, 1), 50.0)  # pre-activations all positive
-    out, report = L.expc_three_stage_forward(params, g, T.Tensor(g.node_features), spec)
+    out, report = L.expc_three_stage_forward(params, g, T.Tensor(g.node_features))
     for v in range(g.num_nodes):
         nbrs = tuple(G.neighborhood(g, v))
         for i in range(3):
@@ -269,7 +269,7 @@ def test_three_stage_all_negative_is_zero():
     spec = L.LayerSpec("EXPC_THREE_STAGE", 2, 3, s=1)
     params = L.init_layer_params(spec, rng)
     params["b1"].data = np.full((3, 1), -50.0)
-    out, report = L.expc_three_stage_forward(params, g, T.Tensor(g.node_features), spec)
+    out, report = L.expc_three_stage_forward(params, g, T.Tensor(g.node_features))
     assert np.array_equal(out, np.zeros((5, 3)))
     assert all(active == () for active in report["active"].values())
 
@@ -283,8 +283,7 @@ def test_three_stage_matches_expc_and_activity_pattern():
         params = L.init_layer_params(spec, rng)
         H = T.Tensor(g.node_features)
         direct = L.expc_forward(params, g, H, spec)
-        spec3 = L.LayerSpec("EXPC_THREE_STAGE", d_in, d_out, s=s)
-        staged, report = L.expc_three_stage_forward(params, g, H, spec3)
+        staged, report = L.expc_three_stage_forward(params, g, H)
         assert np.max(np.abs(direct.data - staged)) < 1e-10
         src, dst = g.message_index()
         pair = np.concatenate([H.data[dst], H.data[src]], axis=1)
@@ -549,7 +548,6 @@ def test_three_stage_gradient_via_shared_function():
     rng = np.random.default_rng(20)
     g = er_graph(41, n=5, d=2)
     spec = L.LayerSpec("EXPC", 2, 3, s=2, re_sum=True, mlp_depth=1)
-    spec3 = L.LayerSpec("EXPC_THREE_STAGE", 2, 3, s=2)
     params = L.init_layer_params(spec, rng)
     w = rng.standard_normal((5, 3))
     H0 = g.node_features
@@ -559,7 +557,7 @@ def test_three_stage_gradient_via_shared_function():
             tape = T.Tape()
             for t in params.values():
                 tape.watch(t)
-            out3, _ = L.expc_three_stage_forward(params, g, T.Tensor(H0), spec3)
+            out3, _ = L.expc_three_stage_forward(params, g, T.Tensor(H0))
             staged = tape.watch(T.Tensor(out3))  # value from the staged route
             direct = L.expc_forward(params, g, T.Tensor(H0), spec)
             assert np.max(np.abs(direct.data - staged.data)) < 1e-10
@@ -581,7 +579,10 @@ def test_model_forward_and_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(back.forward(g).data, pred.data)
 
 
-@pytest.mark.parametrize("kind", L.LAYER_KINDS)
+TRAINABLE_KINDS = [k for k in L.LAYER_KINDS if k not in L.INSPECTION_KINDS]
+
+
+@pytest.mark.parametrize("kind", TRAINABLE_KINDS)
 def test_checkpoint_roundtrip_every_kind(kind, tmp_path):
     d = 4 if kind.startswith("GAT") else 3
     model = L.Model([L.LayerSpec(kind, 4, d, s=2, heads=2)], seed=1, head_dim=2)
@@ -589,6 +590,21 @@ def test_checkpoint_roundtrip_every_kind(kind, tmp_path):
     back = L.load_model(tmp_path / "ckpt")
     assert [(n, t.data.tobytes()) for n, t in back.named_params()] == \
         [(n, t.data.tobytes()) for n, t in model.named_params()]
+
+
+def test_model_and_load_model_refuse_the_staged_kind(tmp_path):
+    staged = L.LayerSpec("EXPC_THREE_STAGE", 2, 2)
+    with pytest.raises(ValueError, match="EXPC_THREE_STAGE has no autodiff"):
+        L.Model([staged])
+    with pytest.raises(ValueError, match="EXPC_THREE_STAGE has no autodiff"):
+        L.Model([L.LayerSpec("EXPC", 1, 2), staged])
+    # an EXPC layer with a one-layer MLP has the staged kind's parameters
+    L.save_model(L.Model([L.LayerSpec("EXPC", 2, 2, mlp_depth=1)]), tmp_path / "ckpt")
+    manifest = json.loads((tmp_path / "ckpt.json").read_text())
+    manifest["layers"][0]["kind"] = "EXPC_THREE_STAGE"
+    (tmp_path / "ckpt.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="EXPC_THREE_STAGE has no autodiff"):
+        L.load_model(tmp_path / "ckpt")
 
 
 def _rewrite_manifest(path, edit):
@@ -621,9 +637,6 @@ def test_load_model_checks_the_manifest_against_the_specs(tmp_path):
     _rewrite_manifest(manifest, lambda params: params.pop())
     with pytest.raises(ValueError, match="lacks parameters.*head.b"):
         L.load_model(tmp_path / "ckpt")
-
-
-TRAINABLE_KINDS = [k for k in L.LAYER_KINDS if k not in L.INSPECTION_KINDS]
 
 
 @st.composite

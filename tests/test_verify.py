@@ -35,19 +35,17 @@ def test_prop4_records_every_configuration():
 @pytest.mark.parametrize("kwargs, flag", [
     (dict(name="prop4", trials=0), "trials"),
     (dict(name="all", trials=-1), "trials"),
-    (dict(name="prop4", heads=[1, 0]), "heads"),
-    (dict(name="prop4", widths=[]), "widths"),
 ])
 def test_run_suite_rejects_runs_that_check_nothing(kwargs, flag):
     with pytest.raises(ValueError, match=flag):
         V.run_suite(**kwargs)
 
 
-@pytest.mark.parametrize("name, flag, message", [
-    ("all", "heads", r"'all' takes no parameter 'heads'.*\['prop4'\]"),
-    ("lemma1", "widths", r"'lemma1' takes no parameter 'widths'.*\['prop4'\]"),
-    ("prop4", "sizes", r"'prop4' takes no parameter 'sizes'.*none"),
-])
-def test_run_suite_rejects_parameters_the_suite_does_not_take(name, flag, message):
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(trials=0), r"trials must be at least 1, got 0"),
+    (dict(heads=[1, 0]), r"heads must be at least 1, got \[1, 0\]"),
+    (dict(widths=[]), r"widths must be at least 1, got \[\]"),
+], ids=["trials", "heads", "widths"])
+def test_prop4_rejects_runs_that_check_nothing(kwargs, message):
     with pytest.raises(ValueError, match=message):
-        V.run_suite(name, trials=1, **{flag: [1]})
+        V.verify_attention_two_routes(**kwargs)
