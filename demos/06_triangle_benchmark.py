@@ -18,14 +18,14 @@ ds = G.gen_er_triangle_dataset(200, n_nodes=10, p=0.3, seed=0)
 base_mae, base_mean = TR.constant_baseline_mae(ds)
 print(f"constant predictor (train mean {base_mean:.2f}): test MAE {base_mae:.3f}")
 
-budget = TR._specs_param_count(TR.triangle_model_specs("EXPC", 12, s=1))
+budget = L.model_param_count(TR.triangle_model_specs("EXPC", 12, s=1))
 cfg = TR.TrainConfig(epochs=40, lr=0.005, seed=0)
 
 for kind, s, label in [("EXPC", 4, "expanding s=4"), ("GCN", 1, "degree-normalized")]:
     width = TR.pick_matched_width(kind, budget, s=s)
     specs = TR.triangle_model_specs(kind, width, s=s)
     model, metrics = TR.train(specs, ds, cfg)
-    n_params = TR._specs_param_count(specs)
+    n_params = L.model_param_count(specs)
     print(f"{label:20s} width {width:3d} ({n_params} params): "
           f"test MAE {metrics.test_metric:.3f} in {metrics.seconds:.0f}s")
 

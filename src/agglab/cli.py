@@ -81,9 +81,16 @@ def cmd_compare_gat(args):
     return 0 if ok else 1
 
 
-def _build_specs(args):
+def _build_specs(args, d_in):
+    """The train command's layer specs on d_in input features. A flag the
+    model does not read raises ValueError: it would train the same model
+    and still land in the checkpoint manifest."""
     kind = TRAIN_KINDS[args.model]
-    return TR.triangle_model_specs(kind, args.width, s=args.s, re_sum=args.re_sum)
+    if args.s != 1 and kind != "EXPC":
+        raise ValueError(f"--s {args.s}: model {args.model} has no expansion factor")
+    if not args.re_sum and kind in ("GCN", "GIN0"):
+        raise ValueError(f"--no-re-sum: model {args.model} has no per-neighbor MLP")
+    return TR.triangle_model_specs(kind, args.width, s=args.s, re_sum=args.re_sum, d_in=d_in)
 
 
 def cmd_train(args):
@@ -97,7 +104,8 @@ def cmd_train(args):
     if args.loss == "cross_entropy":
         head_dim = int(max((g.target for g in ds.graphs if g.target is not None),
                            default=0)) + 1
-    model, metrics = TR.train(_build_specs(args), ds, config, head_dim=head_dim)
+    model, metrics = TR.train(_build_specs(args, ds.feature_width), ds, config,
+                              head_dim=head_dim)
     label = f"{args.model}-{args.s}" if args.model in ("expc",) else args.model
     print(f"train {label}: {config.epochs} epochs, "
           f"final train loss {metrics.train_loss[-1]!r}, "
@@ -120,7 +128,7 @@ def cmd_ablate(args):
     seeds = list(range(args.seeds))
     cells, _ = TR.default_ablation_cells(budget_width=args.budget_width,
                                          s_values=tuple(args.s_values),
-                                         n_layers=args.n_layers)
+                                         n_layers=args.n_layers, d_in=ds.feature_width)
     rows = TR.ablation_suite(
         ds, seeds, cells=cells,
         config_kwargs=dict(epochs=args.epochs, batch_size=args.batch_size,

@@ -26,7 +26,8 @@ __all__ = [
 
 
 class GraphFileError(ValueError):
-    """Malformed dataset file; message carries the offending line number."""
+    """Malformed dataset file; message carries the offending line number,
+    or the path of a malformed split sidecar."""
 
 
 class _MessageGraph:
@@ -202,6 +203,11 @@ class Dataset:
     def subset(self, name):
         return [self.graphs[i] for i in self.split[name]]
 
+    @property
+    def feature_width(self):
+        """Node-feature columns of the first graph; 1 for no graphs."""
+        return self.graphs[0].node_features.shape[1] if self.graphs else 1
+
     def __len__(self):
         return len(self.graphs)
 
@@ -333,7 +339,12 @@ def split_path(path):
 
 
 def save_graphs(dataset, path):
-    """Write one JSON object per graph, plus a split sidecar file."""
+    """Write one JSON object per graph, plus a split sidecar file. A graph
+    without nodes raises ValueError before any file is opened: its (0, d)
+    features would be written as [], which reads back as no matrix."""
+    for i, g in enumerate(dataset.graphs):
+        if g.num_nodes == 0:
+            raise ValueError(f"graph {i} has no nodes; a dataset file cannot hold it")
     with open(path, "w") as fh:
         for g in dataset.graphs:
             rec = {
@@ -366,8 +377,9 @@ def _check_field_types(rec):
 
 
 def load_graphs(path):
-    """Read a JSON-lines dataset; errors carry the 1-based line number."""
-    graphs = []
+    """Read a JSON-lines dataset; errors carry the 1-based line number, or
+    the split sidecar's path for a sidecar Dataset cannot use."""
+    graphs, first = [], None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -385,10 +397,36 @@ def load_graphs(path):
                 raise GraphFileError(f"line {lineno}: {exc}") from exc
             if g.target is not None and not is_finite_number(g.target):
                 raise GraphFileError(f"line {lineno}: target {g.target!r} is not a finite number")
+            width = g.node_features.shape[1]
+            first = first or (lineno, width)
+            if width != first[1]:
+                raise GraphFileError(f"line {lineno}: node features have {width} columns, "
+                                     f"line {first[0]}'s have {first[1]}")
             graphs.append(g)
+    sidecar = split_path(path)
     try:
-        with open(split_path(path)) as fh:
+        with open(sidecar) as fh:
             split = json.load(fh)
     except FileNotFoundError:
-        split = None
-    return Dataset(graphs, split)
+        return Dataset(graphs)
+    except json.JSONDecodeError as exc:
+        raise GraphFileError(f"split sidecar {sidecar}: malformed JSON ({exc})") from exc
+    try:
+        _check_split(split)
+        return Dataset(graphs, split)
+    except ValueError as exc:
+        raise GraphFileError(f"split sidecar {sidecar}: {exc}") from exc
+
+
+def _check_split(split):
+    """ValueError unless split maps train, valid and test to lists of ints."""
+    if type(split) is not dict:
+        raise ValueError("not an object of train, valid and test index lists")
+    for name in ("train", "valid", "test"):
+        if name not in split:
+            raise ValueError(f"no {name!r} index list")
+        if type(split[name]) is not list:
+            raise ValueError(f"{name!r} is {split[name]!r}, not a list of graph indices")
+        bad = [i for i in split[name] if type(i) is not int]
+        if bad:
+            raise ValueError(f"{name!r} holds {bad[0]!r}, not an int graph index")

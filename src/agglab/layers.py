@@ -23,6 +23,7 @@ are used to certify each other:
 """
 
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -31,7 +32,7 @@ from . import tensor as T
 from .graphs import neighborhood
 
 __all__ = [
-    "LayerSpec", "Model", "init_layer_params", "layer_forward",
+    "LayerSpec", "Model", "param_shapes", "init_layer_params", "layer_forward",
     "gcn_forward", "gin0_forward", "gat_default_forward",
     "gat_expanding_forward", "expc_forward", "expc_three_stage_forward",
     "readout", "model_param_count",
@@ -84,45 +85,32 @@ def _uniform(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _coeff_widths(spec):
-    """(coefficients the tanh generator makes per edge, MLP input width)."""
-    if spec.kind == "COMBC":  # one coefficient per feature, elementwise
-        return spec.d_in, spec.d_in
-    appended = 0 if spec.kind != "EXPC_MULTIAGG" else 1 if spec.append == "one" else 2
-    return spec.s, (spec.s + appended) * spec.d_in
+def param_shapes(spec):
+    """(name, shape, fan_in) per parameter of a layer, in draw order: a
+    weight is uniform in ±1/sqrt(fan_in) and fan_in None marks a zero bias.
+    Weights keep the equations' column-vector shapes (the coefficient
+    generator is (s, 2*d_in)); forwards transpose them for row-major features."""
+    d, out = spec.d_in, spec.d_out
+    if spec.kind == "GCN":
+        return [("W", (d, out), d), ("b", (1, out), None)]
+    if spec.kind.startswith("GAT"):
+        return [p for k in range(spec.heads)
+                for p in ((f"W{k}", (d, d), d), (f"a{k}", (2 * d, 1), 2 * d))]
+    coeff, mlp_in, depth = [], d, 2  # GIN0: the MLP on the plain neighbor sum
+    if spec.kind != "GIN0":  # the coefficient convolutions
+        appended = (1 if spec.append == "one" else 2) if spec.kind == "EXPC_MULTIAGG" else 0
+        # COMBC makes one coefficient per feature and multiplies elementwise
+        rows, mlp_in = (d, d) if spec.kind == "COMBC" else (spec.s, (spec.s + appended) * d)
+        coeff, depth = [("Wc", (rows, 2 * d), 2 * d), ("bc", (rows, 1), None)], spec.mlp_depth
+    mlp = [("W1", (out, mlp_in), mlp_in), ("b1", (out, 1), None),
+           ("W2", (out, out), out), ("b2", (out, 1), None)]
+    return coeff + mlp[:2 * depth]
 
 
 def init_layer_params(spec, rng):
-    """Parameter tensors with the shapes the layer equations dictate.
-
-    Weights that multiply column vectors in the equations are stored that
-    way (e.g. the coefficient generator is (s, 2*d_in)); forwards
-    transpose as needed for the row-major feature convention.
-    """
-    p = {}
-    if spec.kind == "GCN":
-        p["W"] = T.Tensor(_uniform(rng, (spec.d_in, spec.d_out), spec.d_in))
-        p["b"] = T.Tensor(np.zeros((1, spec.d_out)))
-    elif spec.kind == "GIN0":
-        p["W1"] = T.Tensor(_uniform(rng, (spec.d_out, spec.d_in), spec.d_in))
-        p["b1"] = T.Tensor(np.zeros((spec.d_out, 1)))
-        p["W2"] = T.Tensor(_uniform(rng, (spec.d_out, spec.d_out), spec.d_out))
-        p["b2"] = T.Tensor(np.zeros((spec.d_out, 1)))
-    elif spec.kind in ("GAT_DEFAULT", "GAT_EXPANDING"):
-        d = spec.d_in
-        for k in range(spec.heads):
-            p[f"W{k}"] = T.Tensor(_uniform(rng, (d, d), d))
-            p[f"a{k}"] = T.Tensor(_uniform(rng, (2 * d, 1), 2 * d))
-    else:  # the coefficient convolutions: EXPC, EXPC_THREE_STAGE, EXPC_MULTIAGG, COMBC
-        rows, mlp_in = _coeff_widths(spec)
-        p["Wc"] = T.Tensor(_uniform(rng, (rows, 2 * spec.d_in), 2 * spec.d_in))
-        p["bc"] = T.Tensor(np.zeros((rows, 1)))
-        p["W1"] = T.Tensor(_uniform(rng, (spec.d_out, mlp_in), mlp_in))
-        p["b1"] = T.Tensor(np.zeros((spec.d_out, 1)))
-        if spec.mlp_depth == 2:
-            p["W2"] = T.Tensor(_uniform(rng, (spec.d_out, spec.d_out), spec.d_out))
-            p["b2"] = T.Tensor(np.zeros((spec.d_out, 1)))
-    return p
+    """Parameter tensors named and shaped by param_shapes, drawn in its order."""
+    return {name: T.Tensor(np.zeros(shape) if fan_in is None else _uniform(rng, shape, fan_in))
+            for name, shape, fan_in in param_shapes(spec)}
 
 
 def _mlp(params, x, depth):
@@ -324,13 +312,7 @@ class Model:
     raises ValueError."""
 
     def __init__(self, specs, seed=0, head_dim=1, readout_mode="SUM"):
-        specs = list(specs)
-        if not specs:
-            raise ValueError("a model needs at least one layer spec")
-        for spec in specs:
-            if spec.kind in INSPECTION_KINDS:
-                raise ValueError(f"layer kind {spec.kind} has no autodiff and cannot be trained")
-        _check_count("head_dim", head_dim)
+        specs = _check_model(specs, head_dim)
         if readout_mode not in ("SUM", "MEAN"):
             raise ValueError(f"unknown readout mode {readout_mode!r}")
         self.specs = specs
@@ -381,8 +363,25 @@ class Model:
         return T.add(T.matmul(pooled, self.head_W), self.head_b)
 
 
-def model_param_count(model):
-    return sum(t.data.size for t in model.params())
+def _check_model(specs, head_dim):
+    """The specs as a list; ValueError for layers or a head no Model builds."""
+    specs = list(specs)
+    if not specs:
+        raise ValueError("a model needs at least one layer spec")
+    for spec in specs:
+        if spec.kind in INSPECTION_KINDS:
+            raise ValueError(f"layer kind {spec.kind} has no autodiff and cannot be trained")
+    _check_count("head_dim", head_dim)
+    return specs
+
+
+def model_param_count(specs, head_dim=1):
+    """Parameter count of Model(specs, head_dim=head_dim), read off the
+    shapes: no model is built and nothing is drawn."""
+    specs = _check_model(specs, head_dim)
+    feat = sum(sp.d_out for sp in specs)
+    return (sum(math.prod(shape) for sp in specs for _, shape, _ in param_shapes(sp))
+            + (feat + 1) * head_dim)
 
 
 def save_model(model, path):

@@ -266,34 +266,19 @@ def constant_baseline_mae(dataset):
 
 
 def triangle_model_specs(kind, width, s=1, re_sum=True, n_layers=2, d_in=1):
-    """Two-layer model specs for the structure-only regression tasks."""
-    specs = []
-    for i in range(n_layers):
-        di = d_in if i == 0 else width
-        if kind == "GCN":
-            specs.append(LayerSpec("GCN", di, width))
-        elif kind == "GIN0":
-            specs.append(LayerSpec("GIN0", di, width))
-        elif kind == "EXPC":
-            specs.append(LayerSpec("EXPC", di, width, s=s, re_sum=re_sum))
-        elif kind == "COMBC":
-            specs.append(LayerSpec("COMBC", di, width, re_sum=re_sum))
-        else:
-            raise ValueError(f"unsupported training layer kind {kind!r}")
-    return specs
+    """n_layers specs of one layer kind and width for the structure-only
+    regression tasks; the first layer reads d_in features."""
+    return [LayerSpec(kind, d_in if i == 0 else width, width, s=s, re_sum=re_sum)
+            for i in range(n_layers)]
 
 
-def _specs_param_count(specs):
-    return model_param_count(Model(specs, seed=0))
-
-
-def pick_matched_width(kind, target_params, s=1, re_sum=True, n_layers=2):
+def pick_matched_width(kind, target_params, s=1, re_sum=True, n_layers=2, d_in=1):
     """Width in 1..192 whose full-model parameter count comes closest to
     the target."""
     best_w, best_gap = 1, float("inf")
     for w in range(1, 193):
-        count = _specs_param_count(triangle_model_specs(kind, w, s=s, re_sum=re_sum,
-                                                        n_layers=n_layers))
+        count = model_param_count(triangle_model_specs(kind, w, s=s, re_sum=re_sum,
+                                                       n_layers=n_layers, d_in=d_in))
         gap = abs(count - target_params)
         if gap < best_gap:
             best_w, best_gap = w, gap
@@ -302,11 +287,12 @@ def pick_matched_width(kind, target_params, s=1, re_sum=True, n_layers=2):
     return best_w
 
 
-def default_ablation_cells(budget_width=12, s_values=(4,), n_layers=2):
+def default_ablation_cells(budget_width=12, s_values=(4,), n_layers=2, d_in=1):
     """Table rows: ExpC*-1 / ExpC-1 / ExpC-s / CombC* / CombC / GCN, with
-    widths chosen so every row's parameter count matches ExpC-1's budget."""
-    budget = _specs_param_count(triangle_model_specs("EXPC", budget_width, s=1,
-                                                     n_layers=n_layers))
+    widths chosen so every row's parameter count, on d_in input features,
+    matches ExpC-1's budget."""
+    budget = model_param_count(triangle_model_specs("EXPC", budget_width, s=1,
+                                                    n_layers=n_layers, d_in=d_in))
     cells = [
         ("ExpC*-1", "EXPC", 1, False),
         ("ExpC-1", "EXPC", 1, True),
@@ -323,7 +309,7 @@ def default_ablation_cells(budget_width=12, s_values=(4,), n_layers=2):
             width = budget_width
         else:
             width = pick_matched_width(kind, budget, s=s, re_sum=re_sum,
-                                       n_layers=n_layers)
+                                       n_layers=n_layers, d_in=d_in)
         out.append({"model": label, "kind": kind, "s": s, "re_sum": re_sum,
                     "width": width, "n_layers": n_layers})
     return out, budget
@@ -334,7 +320,8 @@ def _run_cell(args):
     config = TrainConfig(seed=seed, **config_kwargs)
     specs = triangle_model_specs(cell["kind"], cell["width"], s=cell["s"],
                                  re_sum=cell["re_sum"],
-                                 n_layers=cell.get("n_layers", 2))
+                                 n_layers=cell.get("n_layers", 2),
+                                 d_in=dataset.feature_width)
     _, metrics = train(specs, dataset, config)
     return {"model": cell["model"], "s": cell["s"], "re_sum": cell["re_sum"],
             "seed": seed, "test_mae": metrics.test_metric}

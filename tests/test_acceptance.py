@@ -280,14 +280,14 @@ def pinned_ablation():
     medians = {}
     for r in rows:
         medians.setdefault(r["model"], r["median_test_mae"])
-    budget = TR._specs_param_count(
+    budget = L.model_param_count(
         TR.triangle_model_specs("EXPC", PINNED_BUDGET_WIDTH, s=1,
                                 n_layers=PINNED_LAYERS))
     counts = {}
     for c in cells:
         specs = TR.triangle_model_specs(c["kind"], c["width"], s=c["s"],
                                         re_sum=c["re_sum"], n_layers=PINNED_LAYERS)
-        counts[c["model"]] = TR._specs_param_count(specs)
+        counts[c["model"]] = L.model_param_count(specs)
     return {"rows": rows, "medians": medians, "budget": budget,
             "param_counts": counts, "dataset": ds,
             "minutes": (time.perf_counter() - t0) / 60.0}

@@ -4,6 +4,7 @@ and every agglab name the benchmark under perfbench/ calls or wraps."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -22,22 +23,29 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
+def _aliases(tree):
+    """Local names of `from agglab import m [as alias]` imports."""
+    return {a.asname or a.name: f"agglab.{a.name}" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "agglab"
+            for a in node.names}
+
+
+def _reference(node, aliases):
+    """(module, attribute chain) when node is a dotted name read through an
+    agglab alias, else None."""
+    chain = []
+    while isinstance(node, ast.Attribute):
+        chain.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in aliases and chain:
+        return aliases[node.id], tuple(reversed(chain))
+    return None
+
+
 def _agglab_references(tree):
     """Dotted names read through `from agglab import m [as alias]` aliases."""
-    aliases = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "agglab":
-            for a in node.names:
-                aliases[a.asname or a.name] = f"agglab.{a.name}"
-    refs = set()
-    for node in ast.walk(tree):
-        chain = []
-        while isinstance(node, ast.Attribute):
-            chain.append(node.attr)
-            node = node.value
-        if isinstance(node, ast.Name) and node.id in aliases and chain:
-            refs.add((aliases[node.id], tuple(reversed(chain))))
-    return refs
+    aliases = _aliases(tree)
+    return {ref for node in ast.walk(tree) if (ref := _reference(node, aliases))}
 
 
 def _perfbench_references():
@@ -75,3 +83,29 @@ def test_every_entry_point_perfbench_wraps_exists():
     assert len(targets) >= 15
     assert [f"{owner.__name__}.{attr}" for owner, attr, _, _ in targets
             if not hasattr(owner, attr)] == []
+
+
+def test_every_agglab_call_perfbench_makes_binds_its_arguments():
+    # the call's positional count and keyword names, bound to the signature
+    bound, unbound = set(), []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = _aliases(tree)
+        for node in ast.walk(tree):
+            ref = isinstance(node, ast.Call) and _reference(node.func, aliases)
+            if not ref:
+                continue
+            obj = importlib.import_module(ref[0])
+            for attr in ref[1]:
+                obj = getattr(obj, attr)
+            positional = [None for a in node.args if not isinstance(a, ast.Starred)]
+            keywords = {k.arg: None for k in node.keywords if k.arg is not None}
+            try:
+                inspect.signature(obj).bind_partial(*positional, **keywords)
+            except TypeError as exc:
+                unbound.append(f"{path.name}:{node.lineno} {'.'.join(ref[1])}: {exc}")
+            bound.add((ref[1], tuple(sorted(keywords))))
+    assert unbound == []
+    # the scan sees the budget and spec-builder calls, with their keywords
+    assert (("default_ablation_cells",), ("budget_width", "n_layers", "s_values")) in bound
+    assert (("triangle_model_specs",), ("d_in", "n_layers", "re_sum", "s")) in bound

@@ -1,6 +1,8 @@
 import json
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from agglab import cli
@@ -367,3 +369,88 @@ def test_a_manifest_field_of_the_wrong_type_is_rejected(edit, field, tmp_path, c
     assert run(["analyze-rank", "--checkpoint", str(ckpt), "--count", "5"]) == 1
     err = capsys.readouterr().err
     assert field in err and err.count("\n") == 1 and "Traceback" not in err
+
+
+def featured_dataset(path, width=3, count=20):
+    """An ER triangle dataset whose nodes carry `width` normal features."""
+    rng = np.random.default_rng(4)
+    ds = G.gen_er_triangle_dataset(count, n_nodes=5, p=0.4, seed=2)
+    graphs = [G.Graph(g.num_nodes, g.edges, rng.standard_normal((g.num_nodes, width)), g.target)
+              for g in ds.graphs]
+    G.save_graphs(G.Dataset(graphs, ds.split), path)
+
+
+@pytest.mark.parametrize("model", ["gcn", "gin0", "expc", "combc"])
+def test_train_reads_the_feature_width_from_the_data(model, tmp_path, capsys):
+    # with d_in fixed at 1 every model ended in "matmul: shape mismatch (440, 6) vs (2, 1)"
+    data, ckpt = tmp_path / "d.jsonl", tmp_path / "ckpt"
+    featured_dataset(data)
+    assert run(["train", "--model", model, "--width", "4", "--epochs", "1",
+                "--data", str(data), "--out", str(ckpt)]) == 0
+    manifest = json.loads((tmp_path / "ckpt.json").read_text())
+    assert [(sp["d_in"], sp["d_out"]) for sp in manifest["layers"]] == [(3, 4), (4, 4)]
+    assert "final train loss" in capsys.readouterr().out
+
+
+def test_ablate_reads_the_feature_width_from_the_data(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("AGGLAB_THREADS", "1")
+    data = tmp_path / "d.jsonl"
+    featured_dataset(data)
+    assert run(["ablate", "--seeds", "3", "--s-values", "2", "--budget-width", "3",
+                "--epochs", "1", "--data", str(data)]) == 0
+    assert capsys.readouterr().out.count("median test MAE") == 6
+
+
+@pytest.mark.parametrize("flags", [
+    ["--model", "gcn", "--s", "4"],
+    ["--model", "gin0", "--s", "2"],
+    ["--model", "combc", "--s", "4"],
+    ["--model", "gcn", "--no-re-sum"],
+    ["--model", "gin0", "--no-re-sum"],
+], ids=lambda v: "=".join(v))
+def test_train_rejects_a_flag_its_model_does_not_read(flags, tmp_path, capsys):
+    # gcn --s 4 --no-re-sum trained a plain GCN and exited 0
+    ckpt = tmp_path / "ckpt"
+    assert run(["train", "--epochs", "1", "--count", "10", "--nodes", "5",
+                "--out", str(ckpt)] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flags[2]}") and captured.err.count("\n") == 1
+    assert "final train loss" not in captured.out and not (tmp_path / "ckpt.json").exists()
+
+
+@pytest.mark.parametrize("flags", [["--model", "combc", "--no-re-sum"],
+                                   ["--model", "expc", "--s", "2", "--no-re-sum"]],
+                         ids=lambda v: "=".join(v))
+def test_train_accepts_the_flags_its_model_reads(flags):
+    assert run(["train", "--epochs", "1", "--count", "10", "--nodes", "5"] + flags) == 0
+
+
+BAD_SIDECARS = {
+    "index-list-a-string": {"train": "abc", "valid": [], "test": []},
+    "no-test-list": {"train": list(range(8)), "valid": [8, 9]},
+    "a-json-list": [list(range(8)), [8], [9]],
+    "a-float-index": {"train": list(range(8)), "valid": [8], "test": [4.0]},
+}
+
+
+@pytest.mark.parametrize("name", BAD_SIDECARS)
+def test_train_rejects_a_malformed_split_sidecar(name, tmp_path, capsys):
+    # each ended `train --data` in a TypeError or KeyError traceback
+    data = tmp_path / "d.jsonl"
+    assert run(["gen-data", "--count", "10", "--nodes", "5", "--out", str(data)]) == 0
+    sidecar = tmp_path / "d.jsonl.split.json"
+    sidecar.write_text(json.dumps(BAD_SIDECARS[name]))
+    with pytest.raises(G.GraphFileError, match=re.escape(f"split sidecar {sidecar}: ")):
+        G.load_graphs(data)
+    capsys.readouterr()
+    assert run(["train", "--data", str(data), "--epochs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: split sidecar {sidecar}: ") and err.count("\n") == 1
+
+
+def test_gen_data_refuses_graphs_without_nodes(tmp_path, capsys):
+    # it wrote a file that train --data could not read back
+    out = tmp_path / "d.jsonl"
+    assert run(["gen-data", "--count", "3", "--nodes", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: graph 0 has no nodes; a dataset file cannot hold it\n"
+    assert not out.exists()

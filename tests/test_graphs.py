@@ -194,6 +194,35 @@ def test_save_load_roundtrip(tmp_path):
         assert a == b
 
 
+def test_save_load_roundtrip_keeps_the_feature_width(tmp_path):
+    rng = np.random.default_rng(2)
+    graphs = [G.Graph(g.num_nodes, g.edges, rng.standard_normal((g.num_nodes, 3)), g.target)
+              for g in G.gen_er_triangle_dataset(6, n_nodes=4, seed=1).graphs]
+    G.save_graphs(G.Dataset(graphs), tmp_path / "d.jsonl")
+    back = G.load_graphs(tmp_path / "d.jsonl")
+    assert back.graphs == graphs and back.feature_width == 3
+
+
+def test_a_graph_without_nodes_is_not_saved(tmp_path):
+    # its (0, 1) features were written as [], which loads as shape (0,)
+    ds = G.gen_er_triangle_dataset(3, n_nodes=0, seed=0)
+    with pytest.raises(ValueError, match="graph 0 has no nodes"):
+        G.save_graphs(ds, tmp_path / "d.jsonl")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_load_rejects_a_line_of_another_feature_width(tmp_path):
+    path = tmp_path / "d.jsonl"
+    G.save_graphs(G.gen_er_triangle_dataset(4, n_nodes=3, seed=0), path)
+    lines = path.read_text().splitlines()
+    lines[2] = json.dumps({"num_nodes": 2, "edges": [[0, 1]],
+                           "node_features": [[1.0, 0.0], [1.0, 0.0]], "target": 0})
+    path.write_text("\n\n".join(lines) + "\n")  # blank lines between records
+    with pytest.raises(G.GraphFileError, match="line 5: node features have 2 columns, "
+                                               "line 1's have 1"):
+        G.load_graphs(path)
+
+
 def test_save_deterministic_bytes(tmp_path):
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     G.save_graphs(G.gen_er_triangle_dataset(10, seed=5), p1)

@@ -736,6 +736,88 @@ def test_param_shapes_follow_equations():
     assert gat["a1"].data.shape == (12, 1)
 
 
+def _init_layer_params_per_kind(spec, rng):
+    """init_layer_params as it was written before param_shapes: one branch
+    per kind. The oracle that the shape list draws the same parameters."""
+    def uniform(shape, fan_in):
+        return T.Tensor(rng.uniform(-1 / np.sqrt(fan_in), 1 / np.sqrt(fan_in), size=shape))
+    p = {}
+    if spec.kind == "GCN":
+        p["W"] = uniform((spec.d_in, spec.d_out), spec.d_in)
+        p["b"] = T.Tensor(np.zeros((1, spec.d_out)))
+    elif spec.kind == "GIN0":
+        p["W1"] = uniform((spec.d_out, spec.d_in), spec.d_in)
+        p["b1"] = T.Tensor(np.zeros((spec.d_out, 1)))
+        p["W2"] = uniform((spec.d_out, spec.d_out), spec.d_out)
+        p["b2"] = T.Tensor(np.zeros((spec.d_out, 1)))
+    elif spec.kind in ("GAT_DEFAULT", "GAT_EXPANDING"):
+        d = spec.d_in
+        for k in range(spec.heads):
+            p[f"W{k}"] = uniform((d, d), d)
+            p[f"a{k}"] = uniform((2 * d, 1), 2 * d)
+    else:
+        if spec.kind == "COMBC":
+            rows, mlp_in = spec.d_in, spec.d_in
+        else:
+            appended = 0 if spec.kind != "EXPC_MULTIAGG" else 1 if spec.append == "one" else 2
+            rows, mlp_in = spec.s, (spec.s + appended) * spec.d_in
+        p["Wc"] = uniform((rows, 2 * spec.d_in), 2 * spec.d_in)
+        p["bc"] = T.Tensor(np.zeros((rows, 1)))
+        p["W1"] = uniform((spec.d_out, mlp_in), mlp_in)
+        p["b1"] = T.Tensor(np.zeros((spec.d_out, 1)))
+        if spec.mlp_depth == 2:
+            p["W2"] = uniform((spec.d_out, spec.d_out), spec.d_out)
+            p["b2"] = T.Tensor(np.zeros((spec.d_out, 1)))
+    return p
+
+
+@pytest.mark.parametrize("kind", L.LAYER_KINDS)
+@pytest.mark.parametrize("mlp_depth", [1, 2])
+@pytest.mark.parametrize("append", ["one", "one_and_invdeg"])
+def test_shape_list_draws_the_per_kind_parameters_bitwise(kind, mlp_depth, append):
+    d_out = 3 if kind.startswith("GAT") else 4
+    spec = L.LayerSpec(kind, 3, d_out, s=2, heads=2, mlp_depth=mlp_depth, append=append)
+    for seed in range(5):
+        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        new = L.init_layer_params(spec, rng_new)
+        old = _init_layer_params_per_kind(spec, rng_old)
+        assert [(n, t.data.shape, t.data.tobytes()) for n, t in new.items()] == \
+            [(n, t.data.shape, t.data.tobytes()) for n, t in old.items()]
+        assert rng_new.random() == rng_old.random()  # the same number of draws
+        assert [(n, shape) for n, shape, _ in L.param_shapes(spec)] == \
+            [(n, t.data.shape) for n, t in old.items()]
+
+
+@st.composite
+def model_specs(draw):
+    """One to three trainable layers chained on their widths, every field drawn."""
+    specs, d = [], draw(st.integers(1, 4))
+    for kind in draw(st.lists(st.sampled_from(TRAINABLE_KINDS), min_size=1, max_size=3)):
+        d_out = d if kind.startswith("GAT") else draw(st.integers(1, 5))
+        specs.append(L.LayerSpec(kind, d, d_out, s=draw(st.integers(1, 3)),
+                                 heads=draw(st.integers(1, 3)), re_sum=draw(st.booleans()),
+                                 mlp_depth=draw(st.sampled_from([1, 2])),
+                                 append=draw(st.sampled_from(["one", "one_and_invdeg"]))))
+        d = d_out
+    return specs
+
+
+@settings(max_examples=80, deadline=None)
+@given(model_specs(), st.integers(1, 3))
+def test_model_param_count_is_the_built_models_size(specs, head_dim):
+    model = L.Model(specs, head_dim=head_dim)
+    assert L.model_param_count(specs, head_dim) == sum(t.data.size for t in model.params())
+
+
+def test_model_param_count_rejects_what_model_rejects():
+    for specs, head_dim, message in (([], 1, "at least one layer"),
+                                     ([L.LayerSpec("EXPC_THREE_STAGE", 2, 2)], 1, "no autodiff"),
+                                     ([L.LayerSpec("GCN", 2, 2)], 0, "head_dim")):
+        for build in (L.Model, L.model_param_count):
+            with pytest.raises(ValueError, match=message):
+                build(specs, head_dim=head_dim)
+
+
 # Taped ops of one forward with taped input features on a 6-node graph:
 # the counts the single-purpose bias and scaling ops recorded, one op each.
 TAPED_OPS = [

@@ -183,8 +183,51 @@ def test_matched_widths_within_ten_percent():
     for cell in cells:
         specs = TR.triangle_model_specs(cell["kind"], cell["width"], s=cell["s"],
                                         re_sum=cell["re_sum"])
-        count = TR._specs_param_count(specs)
+        count = L.model_param_count(specs)
         assert abs(count - budget) / budget <= 0.10, (cell, count, budget)
+
+
+def test_the_pinned_protocol_cells_keep_their_widths_and_budget():
+    cells, budget = TR.default_ablation_cells(budget_width=10, s_values=(4,), n_layers=3)
+    assert [(c["model"], c["width"]) for c in cells] == [
+        ("ExpC*-1", 10), ("ExpC-1", 10), ("ExpC-4", 6), ("CombC*", 8), ("CombC", 8),
+        ("GCN", 16)]
+    assert budget == 646
+
+
+def test_budget_widths_build_no_model(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a Model was built to count parameters")
+    monkeypatch.setattr(L.Model, "__init__", refuse)
+    cells, budget = TR.default_ablation_cells(budget_width=10, s_values=(4,), n_layers=3)
+    assert budget == 646 and len(cells) == 6
+
+
+@pytest.mark.parametrize("d_in", [1, 3])
+def test_matched_widths_on_featured_inputs(d_in):
+    cells, budget = TR.default_ablation_cells(budget_width=6, s_values=(2,), d_in=d_in)
+    assert budget == L.model_param_count(TR.triangle_model_specs("EXPC", 6, d_in=d_in))
+    for cell in cells:
+        specs = TR.triangle_model_specs(cell["kind"], cell["width"], s=cell["s"],
+                                        re_sum=cell["re_sum"], d_in=d_in)
+        assert specs[0].d_in == d_in
+        count = L.model_param_count(specs)
+        assert abs(count - budget) / budget <= 0.10, (cell, count, budget)
+
+
+def test_one_spec_builder_for_every_kind():
+    specs = TR.triangle_model_specs("EXPC_MULTIAGG", 5, s=3, re_sum=False, n_layers=3, d_in=2)
+    assert specs == [L.LayerSpec("EXPC_MULTIAGG", 2, 5, s=3, re_sum=False),
+                     L.LayerSpec("EXPC_MULTIAGG", 5, 5, s=3, re_sum=False),
+                     L.LayerSpec("EXPC_MULTIAGG", 5, 5, s=3, re_sum=False)]
+    # today's cells build the LayerSpec fields they built with a branch per kind
+    assert TR.triangle_model_specs("GCN", 4) == [L.LayerSpec("GCN", 1, 4), L.LayerSpec("GCN", 4, 4)]
+    assert TR.triangle_model_specs("COMBC", 4, re_sum=False)[1] == \
+        L.LayerSpec("COMBC", 4, 4, re_sum=False)
+    with pytest.raises(ValueError, match="unknown layer kind"):
+        TR.triangle_model_specs("MLP", 4)
+    with pytest.raises(ValueError, match="d_in == d_out"):
+        TR.triangle_model_specs("GAT_DEFAULT", 4)
 
 
 def test_ablation_suite_rows_and_csv_roundtrip(tmp_path):
