@@ -86,9 +86,9 @@ def _build_specs(args, d_in):
     model does not read raises ValueError: it would train the same model
     and still land in the checkpoint manifest."""
     kind = TRAIN_KINDS[args.model]
-    if args.s != 1 and kind != "EXPC":
+    if args.s != 1 and kind not in L.S_KINDS:
         raise ValueError(f"--s {args.s}: model {args.model} has no expansion factor")
-    if not args.re_sum and kind in ("GCN", "GIN0"):
+    if not args.re_sum and kind not in L.RE_SUM_KINDS:
         raise ValueError(f"--no-re-sum: model {args.model} has no per-neighbor MLP")
     return TR.triangle_model_specs(kind, args.width, s=args.s, re_sum=args.re_sum, d_in=d_in)
 

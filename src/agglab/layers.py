@@ -44,6 +44,9 @@ LAYER_KINDS = ("GCN", "GIN0", "GAT_DEFAULT", "GAT_EXPANDING", "EXPC",
 # Kinds computed in plain numpy, per node: no gradient flows through
 # them, so no Model holds them.
 INSPECTION_KINDS = ("EXPC_THREE_STAGE",)
+# The kinds that read LayerSpec.s and re_sum (expc_forward's); the others ignore them.
+S_KINDS = ("EXPC", "EXPC_MULTIAGG", "EXPC_THREE_STAGE")
+RE_SUM_KINDS = ("EXPC", "EXPC_MULTIAGG", "COMBC")
 
 
 @dataclass
@@ -100,17 +103,26 @@ def param_shapes(spec):
     if spec.kind != "GIN0":  # the coefficient convolutions
         appended = (1 if spec.append == "one" else 2) if spec.kind == "EXPC_MULTIAGG" else 0
         # COMBC makes one coefficient per feature and multiplies elementwise
-        rows, mlp_in = (d, d) if spec.kind == "COMBC" else (spec.s, (spec.s + appended) * d)
+        rows, mlp_in = (spec.s, (spec.s + appended) * d) if spec.kind in S_KINDS else (d, d)
         coeff, depth = [("Wc", (rows, 2 * d), 2 * d), ("bc", (rows, 1), None)], spec.mlp_depth
     mlp = [("W1", (out, mlp_in), mlp_in), ("b1", (out, 1), None),
            ("W2", (out, out), out), ("b2", (out, 1), None)]
     return coeff + mlp[:2 * depth]
 
 
+def _head_shapes(feat, head_dim):
+    """A Model's linear head on feat pooled features, listed as param_shapes lists a layer."""
+    return [("W", (feat, head_dim), feat), ("b", (1, head_dim), None)]
+
+
+def _draw(shapes, rng):
+    return {name: T.Tensor(np.zeros(shape) if fan_in is None else _uniform(rng, shape, fan_in))
+            for name, shape, fan_in in shapes}
+
+
 def init_layer_params(spec, rng):
     """Parameter tensors named and shaped by param_shapes, drawn in its order."""
-    return {name: T.Tensor(np.zeros(shape) if fan_in is None else _uniform(rng, shape, fan_in))
-            for name, shape, fan_in in param_shapes(spec)}
+    return _draw(param_shapes(spec), rng)
 
 
 def _mlp(params, x, depth):
@@ -280,7 +292,7 @@ def layer_forward(spec, params, graph, H):
         return gat_default_forward(params, graph, H, spec.heads)
     if spec.kind == "GAT_EXPANDING":
         return gat_expanding_forward(params, graph, H, spec.heads)
-    if spec.kind in ("EXPC", "EXPC_MULTIAGG", "COMBC"):
+    if spec.kind in RE_SUM_KINDS:
         return expc_forward(params, graph, H, spec)
     if spec.kind == "EXPC_THREE_STAGE":
         out, _ = expc_three_stage_forward(params, graph, H)
@@ -312,7 +324,8 @@ class Model:
     raises ValueError."""
 
     def __init__(self, specs, seed=0, head_dim=1, readout_mode="SUM"):
-        specs = _check_model(specs, head_dim)
+        specs = _check_layers(specs)
+        _check_count("head_dim", head_dim)
         if readout_mode not in ("SUM", "MEAN"):
             raise ValueError(f"unknown readout mode {readout_mode!r}")
         self.specs = specs
@@ -321,9 +334,8 @@ class Model:
         self.readout_mode = readout_mode
         rng = np.random.default_rng(seed)
         self.layer_params = [init_layer_params(sp, rng) for sp in self.specs]
-        feat = sum(sp.d_out for sp in self.specs)
-        self.head_W = T.Tensor(_uniform(rng, (feat, head_dim), feat))
-        self.head_b = T.Tensor(np.zeros((1, head_dim)))
+        head = _draw(_head_shapes(sum(sp.d_out for sp in self.specs), head_dim), rng)
+        self.head_W, self.head_b = head["W"], head["b"]
 
     def named_params(self):
         out = []
@@ -363,25 +375,24 @@ class Model:
         return T.add(T.matmul(pooled, self.head_W), self.head_b)
 
 
-def _check_model(specs, head_dim):
-    """The specs as a list; ValueError for layers or a head no Model builds."""
+def _check_layers(specs):
+    """The specs as a list; ValueError for layers no Model builds."""
     specs = list(specs)
     if not specs:
         raise ValueError("a model needs at least one layer spec")
     for spec in specs:
         if spec.kind in INSPECTION_KINDS:
             raise ValueError(f"layer kind {spec.kind} has no autodiff and cannot be trained")
-    _check_count("head_dim", head_dim)
     return specs
 
 
-def model_param_count(specs, head_dim=1):
-    """Parameter count of Model(specs, head_dim=head_dim), read off the
-    shapes: no model is built and nothing is drawn."""
-    specs = _check_model(specs, head_dim)
-    feat = sum(sp.d_out for sp in specs)
-    return (sum(math.prod(shape) for sp in specs for _, shape, _ in param_shapes(sp))
-            + (feat + 1) * head_dim)
+def model_param_count(specs):
+    """Parameter count of Model(specs), whose head has one column, read off
+    the shapes: no model is built and nothing is drawn."""
+    specs = _check_layers(specs)
+    shapes = [sh for sp in specs for sh in param_shapes(sp)]
+    shapes += _head_shapes(sum(sp.d_out for sp in specs), 1)
+    return sum(math.prod(shape) for _, shape, _ in shapes)
 
 
 def save_model(model, path):

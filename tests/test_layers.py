@@ -803,19 +803,37 @@ def model_specs(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(model_specs(), st.integers(1, 3))
-def test_model_param_count_is_the_built_models_size(specs, head_dim):
-    model = L.Model(specs, head_dim=head_dim)
-    assert L.model_param_count(specs, head_dim) == sum(t.data.size for t in model.params())
+@given(model_specs())
+def test_model_param_count_is_the_built_models_size(specs):
+    model = L.Model(specs)
+    assert L.model_param_count(specs) == sum(t.data.size for t in model.params())
 
 
 def test_model_param_count_rejects_what_model_rejects():
-    for specs, head_dim, message in (([], 1, "at least one layer"),
-                                     ([L.LayerSpec("EXPC_THREE_STAGE", 2, 2)], 1, "no autodiff"),
-                                     ([L.LayerSpec("GCN", 2, 2)], 0, "head_dim")):
+    for specs, message in (([], "at least one layer"),
+                           ([L.LayerSpec("EXPC_THREE_STAGE", 2, 2)], "no autodiff")):
         for build in (L.Model, L.model_param_count):
             with pytest.raises(ValueError, match=message):
-                build(specs, head_dim=head_dim)
+                build(specs)
+
+
+def test_the_kind_tuples_name_the_kinds_that_read_s_and_re_sum():
+    """A kind of S_KINDS changes its parameter shapes with s; a kind of
+    RE_SUM_KINDS changes its forward with re_sum; no other kind does either."""
+    g = G.Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)],
+                np.random.default_rng(0).normal(size=(4, 3)))
+    for kind in L.LAYER_KINDS:
+        shapes = {s: L.param_shapes(L.LayerSpec(kind, 3, 3, s=s)) for s in (1, 2)}
+        assert (shapes[1] != shapes[2]) == (kind in L.S_KINDS), kind
+        if kind in L.INSPECTION_KINDS:
+            assert kind not in L.RE_SUM_KINDS
+            continue
+        outs = []
+        for re_sum in (True, False):
+            spec = L.LayerSpec(kind, 3, 3, s=2, re_sum=re_sum)
+            params = L.init_layer_params(spec, np.random.default_rng(1))
+            outs.append(L.layer_forward(spec, params, g, T.Tensor(g.node_features)).data)
+        assert (not np.array_equal(*outs)) == (kind in L.RE_SUM_KINDS), kind
 
 
 # Taped ops of one forward with taped input features on a 6-node graph:
