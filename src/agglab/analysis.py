@@ -338,15 +338,29 @@ def _hit_pairs(X, Y, test, upper):
     """Index arrays (i, j) of the rows of X (at least one) and Y whose
     Euclidean distance d has test(d, COLLISION_TOL); upper keeps j > i only (for Y
     the same rows as X). Rows go in blocks holding at most BLOCK_ELEMS
-    differences (one row at least)."""
+    differences (one row at least).
+
+    A block compares squared distances with COLLISION_TOL squared. They add
+    the squares in another order than output_distance, so the two can
+    differ by a few ulps per column; a pair that close to the threshold is
+    decided by output_distance of its two rows (each row is a 1-D output).
+    """
     m = len(Y)
     step = max(1, BLOCK_ELEMS // max(1, m * X.shape[1]))
+    tol2 = COLLISION_TOL * COLLISION_TOL
+    band = 4 * (X.shape[1] + 1) * np.spacing(tol2)
     found_i, found_j = [], []
     for a in range(0, len(X), step):
         b = min(len(X), a + step)
         lo = a + 1 if upper else 0
         diff = X[a:b, None, :] - Y[None, lo:, :]
-        hit = test(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)), COLLISION_TOL)
+        gap = np.einsum("ijk,ijk->ij", diff, diff)
+        gap -= tol2
+        hit = test(gap, 0.0)
+        near = np.abs(gap, out=gap) <= band
+        if near.any():  # rare, and np.nonzero costs as much as the distances
+            for p, q in zip(*np.nonzero(near)):
+                hit[p, q] = test(output_distance(X[a + p], Y[lo + q]), COLLISION_TOL)
         if upper:
             hit &= np.arange(lo, m) > np.arange(a, b)[:, None]
         i, j = np.nonzero(hit)

@@ -358,20 +358,41 @@ def save_graphs(dataset, path):
         json.dump(dataset.split, fh)
 
 
-def _check_field_types(rec):
-    """ValueError for a record field whose JSON type Graph would convert
-    into a different graph: num_nodes must be an int >= 0, every edge end
-    an int and every node feature a finite number (a bool is none of these)."""
+def _check_record(rec):
+    """ValueError, naming the field, for a dataset record that Graph would
+    reject with a message of Python's or numpy's, or would convert into a
+    different graph. A record is an object whose num_nodes is an int >= 0,
+    whose edges are [u, v] pairs of ints and whose node_features are
+    num_nodes rows of one width, each entry a finite number (a bool is
+    none of these). Graph rejects the edges that are self-loops or out of
+    range."""
+    if type(rec) is not dict:
+        raise ValueError(f"the record {rec!r:.40} is not an object with num_nodes, "
+                         f"edges and node_features")
+    for name in ("num_nodes", "edges", "node_features"):
+        if name not in rec:
+            raise ValueError(f"the record has no {name!r} field")
     n = rec["num_nodes"]
     if type(n) is not int or n < 0:
         raise ValueError(f"num_nodes {n!r} is not an int >= 0")
     edges, feats = rec["edges"], rec["node_features"]
-    # other shapes of edges and features are Graph's to reject
-    for edge in edges if type(edges) is list else []:
-        if type(edge) is list and any(type(end) is not int for end in edge):
+    if type(edges) is not list:
+        raise ValueError(f"edges {edges!r:.40} is not a list of [u, v] pairs")
+    for edge in edges:
+        if type(edge) is not list or len(edge) != 2:
+            raise ValueError(f"edge {edge!r:.40} is not a [u, v] pair")
+        if any(type(end) is not int for end in edge):
             raise ValueError(f"edge {edge!r} has an end that is not an int")
-    for row in feats if type(feats) is list else []:
-        for x in row if type(row) is list else []:
+    if type(feats) is not list or any(type(row) is not list for row in feats):
+        raise ValueError(f"node_features {feats!r:.40} is not a list of rows")
+    if len(feats) != n:
+        raise ValueError(f"node_features has {len(feats)} rows for {n} nodes")
+    widths = sorted({len(row) for row in feats})
+    if len(widths) > 1:
+        raise ValueError(f"node_features rows have {widths[0]} and {widths[-1]} columns, "
+                         f"not one width")
+    for row in feats:
+        for x in row:
             if not is_finite_number(x):
                 raise ValueError(f"node feature {x!r} is not a finite number")
 
@@ -390,10 +411,10 @@ def load_graphs(path):
             except json.JSONDecodeError as exc:
                 raise GraphFileError(f"line {lineno}: malformed JSON ({exc})") from exc
             try:
-                _check_field_types(rec)
+                _check_record(rec)
                 g = Graph(rec["num_nodes"], rec["edges"], rec["node_features"],
                           target=rec.get("target"))
-            except (KeyError, ValueError, TypeError) as exc:
+            except ValueError as exc:
                 raise GraphFileError(f"line {lineno}: {exc}") from exc
             if g.target is not None and not is_finite_number(g.target):
                 raise GraphFileError(f"line {lineno}: target {g.target!r} is not a finite number")

@@ -5,6 +5,13 @@ outputs, so the record is already topologically sorted). backward() walks
 the record once in reverse and accumulates vector-Jacobian products into
 the .grad buffers of the tensors that participated.
 
+The record holds no Tensor: each taped tensor owns a small gradient holder
+(its shape and its .grad), and the record keeps the holders and the VJP
+closures, which capture arrays, never tensors. A tape is therefore no
+reference cycle. Dropping its last reference frees it at once, and an
+intermediate's array is freed as soon as neither a tensor nor a VJP reads
+it.
+
 Tensors created without a tape are constants: they can appear in any
 expression but never receive gradients. The ops take Tensor operands
 only; wrap an ndarray in Tensor to use it as a constant.
@@ -33,24 +40,43 @@ __all__ = [
 
 
 class Tensor:
-    """A dense float64 array, optionally attached to an autodiff tape."""
+    """A dense float64 array, optionally attached to an autodiff tape.
 
-    __slots__ = ("data", "grad", "tape")
+    A taped tensor's gradient lives in a _Grad holder, which the tape's
+    record points to in place of the tensor; .grad reads it.
+    """
+
+    __slots__ = ("data", "tape", "_cell")
 
     def __init__(self, data, tape=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
         self.tape = tape
+        self._cell = None if tape is None else _Grad(self.data.shape)
 
     @property
     def shape(self):
         return self.data.shape
 
+    @property
+    def grad(self):
+        return None if self._cell is None else self._cell.grad
+
     def zero_grad(self):
-        self.grad = None
+        if self._cell is not None:
+            self._cell.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, taped={self.tape is not None})"
+
+
+class _Grad:
+    """The gradient of one taped tensor: the tensor's shape and its .grad."""
+
+    __slots__ = ("shape", "grad")
+
+    def __init__(self, shape):
+        self.shape = shape
+        self.grad = None
 
 
 class Tape:
@@ -62,7 +88,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._ops = []      # (out Tensor, [(in Tensor, vjp), ...]) in execution order
+        self._ops = []      # (out _Grad, [(in _Grad, vjp), ...]) in execution order
 
     def param(self, data):
         """Create a trainable tensor on this tape."""
@@ -71,16 +97,22 @@ class Tape:
     def watch(self, tensor):
         """Attach an existing tensor (e.g. a persistent parameter) to this tape.
 
-        Training loops build a fresh tape per step and watch the model
-        parameters so the op record never grows across steps; they detach
-        the parameters after the step's backward, or every later
-        expression that reads them is recorded onto this tape.
+        A watched tensor keeps its gradient holder across tapes, so the
+        gradients of successive tapes add up in .grad until zero_grad().
+        Training loops build a fresh tape per group and watch the model
+        parameters on it; they detach the parameters after the group's
+        backward, or every later expression that reads them is recorded
+        onto this tape and keeps it alive.
         """
         tensor.tape = self
+        if tensor._cell is None:
+            tensor._cell = _Grad(tensor.data.shape)
         return tensor
 
     def record(self, out, pairs):
-        self._ops.append((out, pairs))
+        """Record the op that made out from its (input, vjp) pairs: the
+        holders of out and of its taped inputs, with their VJPs."""
+        self._ops.append((out._cell, [(t._cell, vjp) for t, vjp in pairs if t.tape is not None]))
 
     def backward(self, loss):
         """Fill .grad on every tensor reachable from the scalar loss.
@@ -93,29 +125,28 @@ class Tape:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         if loss.tape is not self:
             raise ValueError("loss does not belong to this tape")
-        if loss.grad is None:
-            loss.grad = np.ones_like(loss.data)
-        else:
-            loss.grad = loss.grad + 1.0
+        loss._cell.grad = np.ones_like(loss.data) if loss.grad is None else loss.grad + 1.0
         for out, pairs in reversed(self._ops):
             g = out.grad
             if g is None:
                 continue
-            for tensor, vjp in pairs:
+            for cell, vjp in pairs:
                 contrib = vjp(g)
-                shape, broadcast = tensor.data.shape, contrib.shape
-                if broadcast != shape:  # tensor was broadcast: sum over those axes
+                shape, broadcast = cell.shape, contrib.shape
+                if broadcast != shape:  # the input was broadcast: sum over those axes
                     axes = tuple([i for i, n in enumerate(shape) if n != broadcast[i]])
                     contrib = contrib.sum(axis=axes, keepdims=True)
-                if tensor.grad is None:
-                    tensor.grad = np.array(contrib)  # copy: vjp may return a view
+                if cell.grad is None:
+                    cell.grad = np.array(contrib)  # copy: vjp may return a view
                 else:
-                    tensor.grad += contrib
+                    cell.grad += contrib
 
 
 def _make(data, pairs):
     """Build the result tensor from its (input, vjp) pairs, one per input;
-    record it if any input is on a tape."""
+    record it if any input is on a tape. A vjp captures arrays, never a
+    Tensor: through its .tape, a captured tensor would make the tape a
+    reference cycle again."""
     tape = None
     for t, _ in pairs:
         if t.tape is not None:
@@ -125,7 +156,7 @@ def _make(data, pairs):
                 raise ValueError("operands belong to different tapes")
     out = Tensor(data, tape=tape)
     if tape is not None:
-        tape.record(out, [(t, vjp) for t, vjp in pairs if t.tape is not None])
+        tape.record(out, pairs)
     return out
 
 
@@ -344,12 +375,12 @@ def transpose(x):
 
 def slice_rows(x, lo, hi):
     """Rows [lo, hi) of a 2-D tensor; backward pads the complement with zeros."""
-    m = x.data.shape[0]
-    if not 0 <= lo <= hi <= m:
-        raise ValueError(f"slice_rows: [{lo}, {hi}) out of range for {m} rows")
+    shape = x.data.shape
+    if not 0 <= lo <= hi <= shape[0]:
+        raise ValueError(f"slice_rows: [{lo}, {hi}) out of range for {shape[0]} rows")
 
     def vjp(g):
-        out = np.zeros_like(x.data)
+        out = np.zeros(shape)
         out[lo:hi] = g
         return out
 

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from agglab import analysis as A
 
@@ -373,14 +373,48 @@ def matrix_cases(draw):
     return _near_tol_matrix(draw, n)
 
 
+# Pairs (0, 2) and (1, 3) of GRID's one-element multisets sit at
+# output_distance 9.999999999999999e-10, a collision, while the blocked
+# distance of the same rows rounds to exactly COLLISION_TOL.
+AT_THE_TOLERANCE = np.array([[4.4185556792371134e-10], [-2.340163607417535e-10]])
+
+
 @settings(max_examples=150, deadline=None)
 @given(matrix_cases(), st.sampled_from([A.BLOCK_ELEMS, 1, 7, 40]))
+@example((AT_THE_TOLERANCE, list(A.enumerate_multisets(GRID, 1))), A.BLOCK_ELEMS)
 def test_separation_set_matches_the_pair_loop_on_matrices(case, block):
     M, ms = case
     f = A.MatrixAggregator(M)
     with mock.patch.object(A, "BLOCK_ELEMS", block):  # 1, 7, 40: many row blocks
         assert A.separation_set(f, ms) == _separation_set_loop(f, ms)
         assert A.collision_set(f, ms, f, ms) == _collision_pairs_loop(f, ms, f, ms)
+
+
+def test_a_pair_at_the_tolerance_is_decided_by_output_distance():
+    f = A.MatrixAggregator(AT_THE_TOLERANCE)
+    ms = list(A.enumerate_multisets(GRID, 1))
+    assert A.separation_set(f, ms) == {(0, 3)}
+    collided = {(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)}
+    assert A.collision_set(f, ms, f, ms) == collided | {(j, i) for i, j in collided}
+    other = A.MatrixAggregator(AT_THE_TOLERANCE.copy())  # not the same list: no mirroring
+    assert A.collision_set(f, ms, other, list(ms)) == _collision_pairs_loop(f, ms, other, ms)
+    assert A.collision_oracle(f, f, GRID, max_size=1) == \
+        _collision_oracle_loop(f, f, GRID, max_size=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 24), st.integers(0, 2**31 - 1))
+def test_outputs_a_few_ulps_from_the_tolerance_split_as_output_distance_does(width, seed):
+    # wider outputs add more squares, and the two summation orders part further
+    rng = np.random.default_rng(seed)
+    unit = rng.standard_normal(width)
+    unit /= np.linalg.norm(unit)
+    outs = [unit * A.COLLISION_TOL * (1 + k * 2.0**-52) for k in rng.integers(-8, 9, size=6)]
+    f = A.FunctionAggregator(lambda e: outs[int(e[0, 0])], arity=1, name="near")
+    ms = [A.MultisetSample([float(i)]) for i in range(len(outs))] + [A.MultisetSample([-1.0])]
+    outs.append(np.zeros(width))
+    assert A.separation_set(f, ms) == _separation_set_loop(f, ms)
+    assert A.collision_set(f, ms, f, ms) == _collision_pairs_loop(f, ms, f, ms)
 
 
 def test_a_pair_just_over_or_under_the_tolerance_keeps_its_side():

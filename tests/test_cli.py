@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agglab import cli
 from agglab import graphs as G
@@ -454,3 +459,123 @@ def test_gen_data_refuses_graphs_without_nodes(tmp_path, capsys):
     assert run(["gen-data", "--count", "3", "--nodes", "0", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: graph 0 has no nodes; a dataset file cannot hold it\n"
     assert not out.exists()
+
+
+# ---- dataset-file fuzzing --------------------------------------------------
+
+NOT_AN_INT = [1.5, "0", True, None, [0], {}]
+NOT_A_NUMBER = ["1.5", True, None, [1.0], {}, math.nan, math.inf]
+
+
+@st.composite
+def mutated_records(draw, rec):
+    """One invalid mutation of a valid record (a dict) of n nodes: the
+    line's new text and the words of which its error must name one."""
+    n, edges, feats = rec["num_nodes"], rec["edges"], rec["node_features"]
+    what = draw(st.sampled_from(["record", "truncate", "missing", "num_nodes", "edges",
+                                 "edge", "node_features", "row", "ragged", "feature",
+                                 "width", "target"]))
+    words = (what,)
+    if what == "record":
+        rec = draw(st.sampled_from([[], [rec], "graph", 3, None, True]))
+    elif what == "truncate":
+        text = json.dumps(rec)
+        return text[:draw(st.integers(1, len(text) - 1))], ("malformed JSON",)
+    elif what == "missing":
+        words = (draw(st.sampled_from(["num_nodes", "edges", "node_features"])),)
+        del rec[words[0]]
+    elif what == "num_nodes":
+        rec["num_nodes"] = draw(st.sampled_from(NOT_AN_INT + [-1, n + 1, n - 1, 10**30]))
+        words = ("num_nodes", "node_features")
+    elif what == "edges":
+        rec["edges"] = draw(st.sampled_from([None, 3, "01", {"0": 1}]))
+    elif what == "edge":
+        bad = draw(st.sampled_from([3, None, "01", [], [0], [0, 1, 2], [n, 0], [-1, 0],
+                                    [1, 1]] + [[0, end] for end in NOT_AN_INT]))
+        edges.insert(draw(st.integers(0, len(edges))), bad)
+        words = ("edge", "self-loop")
+    elif what == "node_features":
+        rec["node_features"] = draw(st.sampled_from([None, 1.0, "x", {"0": [1.0]}, [1.0] * n]))
+    elif what == "row":
+        i = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            feats[i] = draw(st.sampled_from([1.0, None, "x", {}]))
+        else:
+            del feats[i]
+        words = ("node_features",)
+    elif what == "ragged":
+        feats[draw(st.integers(0, n - 1))].append(1.0)
+        words = ("node_features",)
+    elif what == "feature":
+        feats[draw(st.integers(0, n - 1))][0] = draw(st.sampled_from(NOT_A_NUMBER))
+        words = ("node feature",)
+    elif what == "width":
+        for row in feats:
+            row.append(0.5)
+        words = ("node features",)
+    else:
+        # null is no mutation: a graph may have no target
+        rec["target"] = draw(st.sampled_from([x for x in NOT_A_NUMBER if x is not None]
+                                             + [-math.inf, 10**400]))
+    return json.dumps(rec), words
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_mutated_dataset_line_is_a_file_error_naming_its_line_and_field(data):
+    ds = G.gen_er_triangle_dataset(3, n_nodes=4, seed=data.draw(st.integers(0, 3)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.jsonl"
+        G.save_graphs(ds, path)
+        lines = path.read_text().splitlines()
+        lines[1], words = data.draw(mutated_records(json.loads(lines[1])))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(G.GraphFileError) as raised:
+            G.load_graphs(path)
+        message = str(raised.value)
+        assert message.startswith("line 2: ")
+        assert any(w in message for w in words), (words, message)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run(["train", "--data", str(path), "--epochs", "1"]) == 1
+        assert err.getvalue() == f"error: {message}\n"
+
+
+@st.composite
+def mutated_sidecars(draw):
+    """A split of 6 graphs with one invalid mutation."""
+    split = {"train": [0, 1, 2, 3], "valid": [4], "test": [5]}
+    what = draw(st.sampled_from(["object", "missing", "list", "index", "range", "overlap"]))
+    name = draw(st.sampled_from(sorted(split)))
+    if what == "object":
+        return draw(st.sampled_from([[], None, 3, "split", [split]]))
+    if what == "missing":
+        del split[name]
+    elif what == "list":
+        split[name] = draw(st.sampled_from([None, 0, "0", {"0": 0}]))
+    elif what == "index":
+        split[name][0] = draw(st.sampled_from(NOT_AN_INT))
+    elif what == "range":
+        split[name][0] = draw(st.sampled_from([-1, 6, 10**30]))
+    else:
+        split[name].append(split["test" if name != "test" else "train"][0])
+    return split
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_sidecars())
+def test_every_mutated_split_sidecar_is_a_file_error_naming_the_sidecar(split):
+    ds = G.gen_er_triangle_dataset(6, n_nodes=4, seed=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.jsonl"
+        G.save_graphs(ds, path)
+        sidecar = Path(G.split_path(path))
+        sidecar.write_text(json.dumps(split))
+        with pytest.raises(G.GraphFileError) as raised:
+            G.load_graphs(path)
+        message = str(raised.value)
+        assert message.startswith(f"split sidecar {sidecar}: ")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run(["train", "--data", str(path), "--epochs", "1"]) == 1
+        assert err.getvalue() == f"error: {message}\n"

@@ -1,8 +1,14 @@
+import contextlib
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from agglab import graphs as G
+from agglab import layers as L
 from agglab import tensor as T
+from agglab import train as TR
 
 
 def test_matmul_identity():
@@ -557,3 +563,145 @@ def test_broadcasting_rejects_other_shapes():
         for op in (T.add, T.sub, T.elementwise_mul):
             with pytest.raises(ValueError, match="shape mismatch"):
                 op(T.Tensor(np.ones(a)), T.Tensor(np.ones(b)))
+
+
+# ---- tape lifetime, against the tensor-record tape ---------------------------
+
+class TensorRecordTape(T.Tape):
+    """The tape before gradient holders, kept as the oracle: its record holds
+    each op's output tensor and its taped input tensors, and backward walks
+    them and writes each tensor's gradient (through its holder, where
+    .grad reads it). Every such tape is a reference cycle (tensor -> tape
+    -> record -> tensor), freed only by the cycle collector."""
+
+    def record(self, out, pairs):
+        self._ops.append((out, [(t, vjp) for t, vjp in pairs if t.tape is not None]))
+
+    def backward(self, loss):
+        loss._cell.grad = np.ones_like(loss.data) if loss.grad is None else loss.grad + 1.0
+        for out, pairs in reversed(self._ops):
+            g = out.grad
+            if g is None:
+                continue
+            for tensor, vjp in pairs:
+                contrib = vjp(g)
+                shape, broadcast = tensor.data.shape, contrib.shape
+                if broadcast != shape:
+                    axes = tuple([i for i, n in enumerate(shape) if n != broadcast[i]])
+                    contrib = contrib.sum(axis=axes, keepdims=True)
+                if tensor.grad is None:
+                    tensor._cell.grad = np.array(contrib)
+                else:
+                    tensor._cell.grad += contrib
+
+
+TRAINABLE_KINDS = [k for k in L.LAYER_KINDS if k not in L.INSPECTION_KINDS]
+
+
+def featured_dataset(seed):
+    """12 graphs of 6 nodes with 3 features (so attention kinds keep d_in ==
+    d_out), their triangle counts as targets; 10 train, 1 valid, 1 test."""
+    rng = np.random.default_rng(seed)
+    graphs = [G.random_featured_graph(rng, 6, 0.5, 3) for _ in range(12)]
+    for g in graphs:
+        g.target = float(G.count_triangles(g))
+    return G.Dataset(graphs, {"train": list(range(10)), "valid": [10], "test": [11]})
+
+
+def kind_specs(kind):
+    return [L.LayerSpec(kind, 3, 3, s=2), L.LayerSpec(kind, 3, 3, s=2)]
+
+
+def new_tapes(before):
+    """The Tape objects the collector tracks now and did not in before."""
+    seen = {id(t) for t in before}
+    return [o for o in gc.get_objects() if isinstance(o, T.Tape) and id(o) not in seen]
+
+
+@contextlib.contextmanager
+def collector_off():
+    """Run the body with the cycle collector off; yields the Tapes alive at
+    the start, after one collection."""
+    gc.collect()
+    before = [o for o in gc.get_objects() if isinstance(o, T.Tape)]
+    gc.disable()
+    try:
+        yield before
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("kind", TRAINABLE_KINDS)
+def test_train_leaves_no_tape_for_the_collector(kind, monkeypatch):
+    monkeypatch.setattr(TR, "MESSAGE_BUDGET", 40)  # several groups per batch
+    config = TR.TrainConfig(epochs=2, batch_size=4, lr=0.01, loss="MSE")
+    with collector_off() as before:
+        model, _ = TR.train(kind_specs(kind), featured_dataset(0), config)
+        assert new_tapes(before) == []
+        assert all(p.tape is None for p in model.params())
+
+
+def test_a_dropped_loss_leaves_no_tape_for_the_collector():
+    rng = np.random.default_rng(0)
+    w = T.Tensor(rng.standard_normal((3, 4)))
+    x = T.Tensor(rng.standard_normal((5, 3)))
+
+    def step(backward):
+        tape = T.Tape()
+        tape.watch(w)
+        h = T.activation(T.matmul(x, w), "tanh")
+        loss = T.sum_all(T.slice_rows(h, 1, 4))  # a slice of an intermediate
+        if backward:
+            tape.backward(loss)
+        w.tape = None
+
+    def composite(seed):
+        x = T.Tape().param(rng.standard_normal((3, 3)))
+        x.tape.backward(_random_differentiable_graph(np.random.default_rng(seed), x))
+
+    with collector_off() as before:
+        step(True)
+        step(False)
+        for seed in range(20):
+            composite(seed)
+        assert new_tapes(before) == []
+    assert w.grad is not None
+
+
+def test_every_composition_has_the_tensor_record_gradients():
+    rng = np.random.default_rng(1234)
+    for _ in range(100):
+        m, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        data = rng.standard_normal((m, n))
+        seed = int(rng.integers(0, 2**31))
+        grads, ops = [], []
+        for tape in (T.Tape(), TensorRecordTape()):
+            x = tape.param(data.copy())
+            tape.backward(_random_differentiable_graph(np.random.default_rng(seed), x))
+            grads.append(x.grad.tobytes())
+            ops.append(len(tape._ops))
+        assert grads[0] == grads[1] and ops[0] == ops[1]
+
+
+def _one_step_grads(kind, seed):
+    ds = featured_dataset(seed)
+    model = L.Model(kind_specs(kind), seed=seed)
+    model.zero_grad()
+    for group in TR.message_groups(ds.subset("train")[:4]):
+        TR._accumulate_gradients(model, group, "MSE")
+    return [p.grad.tobytes() for p in model.params()]
+
+
+@pytest.mark.parametrize("kind", TRAINABLE_KINDS)
+def test_training_has_the_tensor_record_gradients_and_parameters(kind, monkeypatch):
+    monkeypatch.setattr(TR, "MESSAGE_BUDGET", 40)
+    for seed in range(5):
+        config = TR.TrainConfig(epochs=3, batch_size=4, lr=0.01, loss="MSE", seed=seed)
+        runs = []
+        for tape in (T.Tape, TensorRecordTape):
+            monkeypatch.setattr(T, "Tape", tape)
+            model, metrics = TR.train(kind_specs(kind), featured_dataset(seed), config)
+            runs.append((_one_step_grads(kind, seed),
+                         [p.data.tobytes() for p in model.params()],
+                         metrics.train_loss, metrics.valid_loss, metrics.test_metric))
+        assert runs[0] == runs[1], (kind, seed)
