@@ -14,13 +14,15 @@ The multiset oracles (separation_set, collision_set and the
 collision_oracle and compare_strength built on them) work on whole
 candidate lists as array passes. An aggregator's outputs are stacked once,
 grouped by output shape: a MatrixAggregator maps a list of one multiset
-size through one batched matmul. Outputs of different shapes are at
-distance inf (output_distance), so such a pair is always separated and
-never collides. Within a shape group the Euclidean distances are computed
-in blocks of rows holding at most BLOCK_ELEMS output differences, so a
-list of n candidates never allocates n^2 * width numbers at once; a pair
-separates iff its distance is >= COLLISION_TOL and collides iff it is
-below it: every oracle uses this one tolerance.
+size through one batched matmul. Both oracles read their pairs off one
+boolean separation matrix over the candidates, filled by _separated: a
+pair separates iff its distance is >= COLLISION_TOL and collides iff it
+does not separate, so every oracle uses this one tolerance. Outputs of
+different shapes are at distance inf (output_distance), so such a pair is
+always separated. Within a shape group the Euclidean distances are
+computed in blocks of rows holding at most BLOCK_ELEMS output
+differences, so a list of n candidates never allocates n^2 * width
+numbers at once; the matrix itself holds n^2 booleans.
 """
 
 import itertools
@@ -40,6 +42,8 @@ __all__ = [
 COLLISION_TOL = 1e-9
 MAX_ORACLE_SIZE = 5
 BLOCK_ELEMS = 1 << 18  # output differences one distance block may hold
+_TOL2 = COLLISION_TOL * COLLISION_TOL
+_TOL2_ULP = np.spacing(_TOL2)  # the unit of _separated's re-decision band
 
 
 class MultisetSample:
@@ -80,8 +84,7 @@ class MultisetSample:
     def __eq__(self, other):
         if not isinstance(other, MultisetSample):
             return NotImplemented
-        return self.elements.shape == other.elements.shape and np.array_equal(
-            self.elements, other.elements)
+        return self is other or np.array_equal(self.elements, other.elements)
 
     def __repr__(self):
         if self.width == 1:
@@ -286,6 +289,16 @@ def _size_pairs(sizes1, sizes2):
     return sorted(pairs, key=lambda p: (max(p), abs(p[0] - p[1]), p))
 
 
+def _check_search(grid, max_size):
+    """ValueError unless an oracle's search is nonempty and bounded: an
+    empty search would answer "no collision" or "equal" from nothing."""
+    if not 1 <= max_size <= MAX_ORACLE_SIZE:
+        raise ValueError(f"max_size {max_size} is outside 1..{MAX_ORACLE_SIZE} "
+                         f"(explosion guard)")
+    if len(grid) == 0:
+        raise ValueError("grid must be nonempty")
+
+
 def collision_oracle(agg1, agg2, grid, max_size=3):
     """First pair of distinct multisets with (near-)equal images, or None.
 
@@ -294,10 +307,7 @@ def collision_oracle(agg1, agg2, grid, max_size=3):
     aggregator maps them to zero, so they say nothing about injectivity
     or range overlap (see ranges_disjoint_certificate).
     """
-    if max_size > MAX_ORACLE_SIZE:
-        raise ValueError(f"max_size {max_size} > {MAX_ORACLE_SIZE} (explosion guard)")
-    if len(grid) == 0:
-        raise ValueError("grid must be nonempty")
+    _check_search(grid, max_size)
     cache = {}
 
     def candidates(size):
@@ -334,39 +344,29 @@ def _output_groups(agg, multisets):
             for shape, (idx, rows) in groups.items()}
 
 
-def _hit_pairs(X, Y, test, upper):
-    """Index arrays (i, j) of the rows of X (at least one) and Y whose
-    Euclidean distance d has test(d, COLLISION_TOL); upper keeps j > i only (for Y
-    the same rows as X). Rows go in blocks holding at most BLOCK_ELEMS
-    differences (one row at least).
+def _separated(X, Y):
+    """Boolean (len(X), len(Y)) matrix: row i of X and row j of Y are at
+    Euclidean distance >= COLLISION_TOL. Rows of X go in blocks holding at
+    most BLOCK_ELEMS differences (one row at least).
 
     A block compares squared distances with COLLISION_TOL squared. They add
     the squares in another order than output_distance, so the two can
     differ by a few ulps per column; a pair that close to the threshold is
     decided by output_distance of its two rows (each row is a 1-D output).
     """
-    m = len(Y)
-    step = max(1, BLOCK_ELEMS // max(1, m * X.shape[1]))
-    tol2 = COLLISION_TOL * COLLISION_TOL
-    band = 4 * (X.shape[1] + 1) * np.spacing(tol2)
-    found_i, found_j = [], []
+    sep = np.empty((len(X), len(Y)), dtype=bool)
+    step = max(1, BLOCK_ELEMS // max(1, len(Y) * X.shape[1]))
+    band = 4 * (X.shape[1] + 1) * _TOL2_ULP
     for a in range(0, len(X), step):
-        b = min(len(X), a + step)
-        lo = a + 1 if upper else 0
-        diff = X[a:b, None, :] - Y[None, lo:, :]
+        diff = X[a:a + step, None, :] - Y[None, :, :]
         gap = np.einsum("ijk,ijk->ij", diff, diff)
-        gap -= tol2
-        hit = test(gap, 0.0)
+        gap -= _TOL2
+        sep[a:a + step] = gap >= 0.0
         near = np.abs(gap, out=gap) <= band
         if near.any():  # rare, and np.nonzero costs as much as the distances
             for p, q in zip(*np.nonzero(near)):
-                hit[p, q] = test(output_distance(X[a + p], Y[lo + q]), COLLISION_TOL)
-        if upper:
-            hit &= np.arange(lo, m) > np.arange(a, b)[:, None]
-        i, j = np.nonzero(hit)
-        found_i.append(i + a)
-        found_j.append(j + lo)
-    return np.concatenate(found_i), np.concatenate(found_j)
+                sep[a + p, q] = output_distance(X[a + p], Y[q]) >= COLLISION_TOL
+    return sep
 
 
 def separation_set(agg, multisets):
@@ -374,21 +374,16 @@ def separation_set(agg, multisets):
     candidate list: output_distance(agg(multisets[i]), agg(multisets[j]))
     >= COLLISION_TOL.
 
-    The outputs are stacked once and grouped by shape. Every pair across
-    two groups is separated (distance inf); within a group the distances
-    are thresholded in blocks of rows holding at most BLOCK_ELEMS output
-    differences.
+    The pairs are read off one boolean n x n separation matrix. Every pair
+    across two output-shape groups is separated (distance inf); each
+    group's block is _separated on its rows.
     """
-    groups = list(_output_groups(agg, multisets).values())
-    pairs = set()
-    for g, (idx, rows) in enumerate(groups):
-        i, j = _hit_pairs(rows, rows, np.greater_equal, upper=True)
-        pairs.update(zip(idx[i].tolist(), idx[j].tolist()))
-        for other, _ in groups[g + 1:]:
-            a, b = np.meshgrid(idx, other, indexing="ij")
-            pairs.update(zip(np.minimum(a, b).ravel().tolist(),
-                             np.maximum(a, b).ravel().tolist()))
-    return pairs
+    sep = np.ones((len(multisets),) * 2, dtype=bool)
+    for idx, rows in _output_groups(agg, multisets).values():
+        sep[idx[:, None], idx] = _separated(rows, rows)
+    i, j = np.nonzero(sep)
+    upper = i < j
+    return set(zip(i[upper].tolist(), j[upper].tolist()))
 
 
 def collision_set(agg1, ms1, agg2, ms2):
@@ -396,24 +391,18 @@ def collision_set(agg1, ms1, agg2, ms2):
     output_distance(agg1(ms1[i]), agg2(ms2[j])) < COLLISION_TOL and
     ms1[i] != ms2[j].
 
-    Outputs are grouped by shape as in separation_set; only groups of one
-    shape can collide. With the same aggregator and the same list on both
-    sides, the pairs j > i are computed and mirrored.
+    The pairs are read off one boolean len(ms1) x len(ms2) collision
+    matrix, the complement of _separated on each pair of output-shape
+    groups of one shape; groups of different shapes never collide.
     """
-    same = agg1 is agg2 and ms1 is ms2
-    groups1 = _output_groups(agg1, ms1)
-    groups2 = groups1 if same else _output_groups(agg2, ms2)
-    hits = set()
-    for shape, (idx1, rows1) in groups1.items():
-        if shape not in groups2:
-            continue
-        idx2, rows2 = groups2[shape]
-        i, j = _hit_pairs(rows1, rows2, np.less, upper=same)
-        a, b = idx1[i].tolist(), idx2[j].tolist()
-        hits.update(zip(a, b))
-        if same:
-            hits.update(zip(b, a))
-    return {(i, j) for i, j in hits if not ms1[i] == ms2[j]}
+    hit = np.zeros((len(ms1), len(ms2)), dtype=bool)
+    groups2 = _output_groups(agg2, ms2)
+    for shape, (idx1, rows1) in _output_groups(agg1, ms1).items():
+        if shape in groups2:
+            idx2, rows2 = groups2[shape]
+            hit[idx1[:, None], idx2] = ~_separated(rows1, rows2)
+    i, j = np.nonzero(hit)
+    return {(a, b) for a, b in zip(i.tolist(), j.tolist()) if not ms1[a] == ms2[b]}
 
 
 def compare_strength(agg1, agg2, grid, max_size=3):
@@ -425,8 +414,7 @@ def compare_strength(agg1, agg2, grid, max_size=3):
     ('only_first' where agg1 separates and agg2 does not, and
     'only_second' for the reverse).
     """
-    if max_size > MAX_ORACLE_SIZE:
-        raise ValueError(f"max_size {max_size} > {MAX_ORACLE_SIZE} (explosion guard)")
+    _check_search(grid, max_size)
     sizes = sorted(set(_size_options(agg1, max_size)) & set(_size_options(agg2, max_size)))
     if not sizes:
         return {"verdict": "incomparable", "only_first": None, "only_second": None}

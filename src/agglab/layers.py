@@ -386,13 +386,20 @@ def _check_layers(specs):
     return specs
 
 
+def _named_shapes(specs, head_dim):
+    """{name: shape} of Model(specs, head_dim=head_dim)'s parameters, named
+    as named_params names them: nothing is drawn."""
+    shapes = {f"layer{i}.{name}": shape
+              for i, sp in enumerate(specs) for name, shape, _ in param_shapes(sp)}
+    head = _head_shapes(sum(sp.d_out for sp in specs), head_dim)
+    shapes.update((f"head.{name}", shape) for name, shape, _ in head)
+    return shapes
+
+
 def model_param_count(specs):
     """Parameter count of Model(specs), whose head has one column, read off
     the shapes: no model is built and nothing is drawn."""
-    specs = _check_layers(specs)
-    shapes = [sh for sp in specs for sh in param_shapes(sp)]
-    shapes += _head_shapes(sum(sp.d_out for sp in specs), 1)
-    return sum(math.prod(shape) for _, shape, _ in shapes)
+    return sum(math.prod(shape) for shape in _named_shapes(_check_layers(specs), 1).values())
 
 
 def save_model(model, path):
@@ -444,41 +451,45 @@ def load_model(path):
     """Rebuild a save_model checkpoint. The manifest must carry every field
     save_model writes, with its little-endian float64, row-major blob
     layout, and its parameter list must name every parameter of the model
-    its layer specs build, once, with the shape the specs give it."""
+    its layer specs build, once, with the shape the specs give it. That and
+    the blob's length are checked before the model is built, so specs
+    edited to a huge width fail on a parameter's shape and draw nothing."""
     with open(f"{path}.json") as fh:
         manifest = json.load(fh)
     _check_manifest(manifest)
-    specs = [LayerSpec(**sp) for sp in manifest["layers"]]
-    model = Model(specs, seed=manifest["seed"], head_dim=manifest["head_dim"],
-                  readout_mode=manifest["readout_mode"])
-    by_name = dict(model.named_params())
+    specs = _check_layers(LayerSpec(**sp) for sp in manifest["layers"])
+    _check_count("head_dim", manifest["head_dim"])
+    expected = _named_shapes(specs, manifest["head_dim"])
     layout = []
     for entry in manifest["params"]:
         if not (isinstance(entry, dict) and set(entry) == {"name", "shape"}
                 and isinstance(entry["name"], str) and isinstance(entry["shape"], list)):
             raise ValueError(f"checkpoint parameter entry {entry!r} is not a name "
                              f"and a shape list")
-        name, shape = entry["name"], tuple(entry["shape"])
-        if name not in by_name:
+        name = entry["name"]
+        if name not in expected:
             raise ValueError(f"checkpoint parameter {name!r} is unknown or repeated "
                              f"for its layer specs")
-        param = by_name.pop(name)
-        if shape != param.data.shape:
-            raise ValueError(f"checkpoint parameter {name!r} has shape {list(shape)}, "
-                             f"its layer spec gives {list(param.data.shape)}")
-        layout.append(param)
-    if by_name:
-        raise ValueError(f"checkpoint lacks parameters {sorted(by_name)}")
+        shape = expected.pop(name)
+        if tuple(entry["shape"]) != shape:
+            raise ValueError(f"checkpoint parameter {name!r} has shape {entry['shape']}, "
+                             f"its layer spec gives {list(shape)}")
+        layout.append((name, shape))
+    if expected:
+        raise ValueError(f"checkpoint lacks parameters {sorted(expected)}")
     with open(f"{path}.bin", "rb") as fh:
         blob = fh.read()
-    need = 8 * sum(param.data.size for param in layout)
+    need = 8 * sum(math.prod(shape) for _, shape in layout)
     if len(blob) != need:
         raise ValueError(f"parameter blob has {len(blob)} bytes; the manifest's parameters "
                          f"take {need}")
+    model = Model(specs, seed=manifest["seed"], head_dim=manifest["head_dim"],
+                  readout_mode=manifest["readout_mode"])
+    by_name = dict(model.named_params())
     raw = np.frombuffer(blob, dtype="<f8")
     offset = 0
-    for param in layout:
-        size = param.data.size
-        param.data = raw[offset:offset + size].reshape(param.data.shape).copy()
+    for name, shape in layout:
+        size = math.prod(shape)
+        by_name[name].data = raw[offset:offset + size].reshape(shape).copy()
         offset += size
     return model

@@ -110,10 +110,13 @@ def test_collision_oracle_injective_matrix_finds_nothing():
 
 
 def test_collision_oracle_guard():
-    with pytest.raises(ValueError, match="explosion"):
-        A.collision_oracle(SUM, SUM, GRID, max_size=6)
-    with pytest.raises(ValueError, match="nonempty"):
-        A.collision_oracle(SUM, SUM, [], max_size=2)
+    # both oracles; an empty search must not answer "no collision" or "equal"
+    for oracle in (A.collision_oracle, A.compare_strength):
+        for max_size in (6, 0, -1):
+            with pytest.raises(ValueError, match="explosion"):
+                oracle(SUM, MEAN, [1.0], max_size=max_size)
+        with pytest.raises(ValueError, match="nonempty"):
+            oracle(SUM, MEAN, [], max_size=2)
 
 
 def test_compare_strength_sum_vs_mean():
@@ -386,8 +389,14 @@ def test_separation_set_matches_the_pair_loop_on_matrices(case, block):
     M, ms = case
     f = A.MatrixAggregator(M)
     with mock.patch.object(A, "BLOCK_ELEMS", block):  # 1, 7, 40: many row blocks
-        assert A.separation_set(f, ms) == _separation_set_loop(f, ms)
-        assert A.collision_set(f, ms, f, ms) == _collision_pairs_loop(f, ms, f, ms)
+        separated, collided = A.separation_set(f, ms), A.collision_set(f, ms, f, ms)
+    assert separated == _separation_set_loop(f, ms)
+    assert collided == _collision_pairs_loop(f, ms, f, ms)
+    # the two oracles split every pair of distinct candidates between them
+    assert collided == {(j, i) for i, j in collided}
+    assert separated.isdisjoint(collided)
+    assert separated | {(i, j) for i, j in collided if i < j} == \
+        set(itertools.combinations(range(len(ms)), 2))
 
 
 def test_a_pair_at_the_tolerance_is_decided_by_output_distance():

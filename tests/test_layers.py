@@ -669,7 +669,8 @@ def test_checkpoint_roundtrip_is_bitwise(model):
 
 def _corrupt(ckpt, how, draw):
     """Damage a saved checkpoint one way: the blob cut short or run long,
-    one parameter's shape edited, or one parameter name removed or repeated."""
+    one parameter's shape edited, one parameter name removed or repeated,
+    or one layer spec widened to 10^6 features in and out."""
     blob_path, manifest_path = Path(f"{ckpt}.bin"), Path(f"{ckpt}.json")
     blob = blob_path.read_bytes()
     manifest = json.loads(manifest_path.read_text())
@@ -687,12 +688,15 @@ def _corrupt(ckpt, how, draw):
             shape[draw(st.integers(0, len(shape) - 1))] += draw(st.integers(1, 3))
     elif how == "remove":
         params.pop(k)
+    elif how == "widen":  # a model of terabytes: refused before anything is drawn
+        spec = manifest["layers"][draw(st.integers(0, len(manifest["layers"]) - 1))]
+        spec["d_in"] = spec["d_out"] = 10**6
     else:  # repeat
         params.insert(draw(st.integers(0, len(params))), dict(params[k]))
     manifest_path.write_text(json.dumps(manifest))
 
 
-CORRUPTIONS = ["truncate", "extend", "shape", "remove", "repeat"]
+CORRUPTIONS = ["truncate", "extend", "shape", "remove", "repeat", "widen"]
 
 
 @settings(max_examples=100, deadline=None)
